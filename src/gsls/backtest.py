@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -24,7 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .gbm import TRADING_DAYS_PER_YEAR, estimate_mle
-from .optimizer import GridSpec, Objective, TargetPolicy, grid_search, resolve_target
+from .optimizer import (
+    GridSpec,
+    NoFiniteObjectiveError,
+    Objective,
+    TargetPolicy,
+    grid_search,
+    resolve_target,
+)
 from .strategy import ControlParams, run_strategy
 
 __all__ = [
@@ -83,7 +89,13 @@ class PriceSeries:
         hi = bisect_right(self.dates, end)
         if lo >= hi:
             raise DataError(f"{self.symbol}: no observations in {start}..{end}")
-        return PriceSeries(self.symbol, self.dates[lo:hi], self.prices[lo:hi])
+        # a slice of a checked series is already ordered, positive and finite,
+        # so skip __post_init__ and its per-date scan
+        sub = object.__new__(PriceSeries)
+        object.__setattr__(sub, "symbol", self.symbol)
+        object.__setattr__(sub, "dates", self.dates[lo:hi])
+        object.__setattr__(sub, "prices", self.prices[lo:hi])
+        return sub
 
 
 @dataclass(frozen=True)
@@ -267,7 +279,8 @@ def backtest_one(series: PriceSeries, split: SplitSpec, policy: TargetPolicy,
     """Estimate on the training window, optimize, trade the test window.
 
     horizon defaults to the test window's length in units of dt, so a
-    252-observation window optimizes for one year ahead.
+    252-observation window optimizes for one year ahead.  jobs is accepted
+    for compatibility and has no effect.
     """
     train = series.window(split.train_start, split.train_end)
     test = series.window(split.test_start, split.test_end)
@@ -279,7 +292,10 @@ def backtest_one(series: PriceSeries, split: SplitSpec, policy: TargetPolicy,
     except ValueError as exc:
         raise DataError(f"{series.symbol}: estimation failed: {exc}") from exc
     t = (len(test) - 1) * dt if horizon is None else horizon
-    best = grid_search(gp, t, policy, grid, objective, i0=i0, jobs=jobs)
+    try:
+        best = grid_search(gp, t, policy, grid, objective, i0=i0)
+    except NoFiniteObjectiveError as exc:
+        raise DataError(f"{series.symbol}: optimization failed: {exc}") from exc
     trace = run_strategy(best.params, test.prices)
     return SeriesResult(
         symbol=series.symbol,
@@ -302,28 +318,16 @@ def run_fixed_strategy(series: PriceSeries, params: ControlParams,
     return SeriesResult(symbol=series.symbol, params=params, gains=trace.gain)
 
 
-def _run_batch(universe, worker, jobs: int, skip_errors: bool):
+def _run_batch(universe, worker, skip_errors: bool):
     """Apply worker per series, in input order, collecting DataError rejects."""
-
-    def guarded(series):
-        try:
-            return worker(series), None
-        except DataError as exc:
-            return None, str(exc)
-
-    if jobs <= 1:
-        outcomes = [guarded(s) for s in universe]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(guarded, universe))
     results, failures = [], {}
-    for series, (result, error) in zip(universe, outcomes):
-        if error is not None:
+    for series in universe:
+        try:
+            results.append(worker(series))
+        except DataError as exc:
             if not skip_errors:
-                raise DataError(error)
-            failures[series.symbol] = error
-        else:
-            results.append(result)
+                raise
+            failures[series.symbol] = str(exc)
     return results, failures
 
 
@@ -334,28 +338,32 @@ def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
                       truncate: bool = False) -> tuple[BacktestReport, dict[str, str]]:
     """Run the estimate/optimize/trade pipeline on every series and aggregate.
 
-    Per-series work may run on jobs threads; results are reduced in input
-    order, so the report does not depend on scheduling.  With skip_errors,
-    series that fail with a data problem are reported instead of fatal.
+    Series run one after another in input order; each one's grid is scored
+    in a single array evaluation.  With skip_errors, series that fail with a
+    data problem are reported instead of fatal.  jobs is accepted for
+    compatibility and has no effect.
     """
 
     def worker(series):
         return backtest_one(series, split, policy, grid, objective,
                             i0=i0, dt=dt, horizon=horizon)
 
-    results, failures = _run_batch(universe, worker, jobs, skip_errors)
+    results, failures = _run_batch(universe, worker, skip_errors)
     return aggregate(results, truncate=truncate), failures
 
 
 def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
                                 end: date, jobs: int = 1, skip_errors: bool = False,
                                 truncate: bool = False) -> tuple[BacktestReport, dict[str, str]]:
-    """Apply one fixed parameter set to every series over [start, end]."""
+    """Apply one fixed parameter set to every series over [start, end].
+
+    jobs is accepted for compatibility and has no effect.
+    """
 
     def worker(series):
         return run_fixed_strategy(series, params, start, end)
 
-    results, failures = _run_batch(universe, worker, jobs, skip_errors)
+    results, failures = _run_batch(universe, worker, skip_errors)
     return aggregate(results, truncate=truncate), failures
 
 

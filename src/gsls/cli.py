@@ -37,6 +37,7 @@ from .optimizer import (
     DriftAdaptiveTarget,
     FixedTarget,
     GridSpec,
+    NoFiniteObjectiveError,
     Objective,
     grid_search,
     policy_label,
@@ -292,8 +293,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         series, gp = _estimate_from_file(in_path, window, dt)
         symbol = series.symbol
 
-    result = grid_search(gp, horizon, policy, grid, objective,
-                         i0=i0, jobs=jobs, keep_table=table)
+    try:
+        result = grid_search(gp, horizon, policy, grid, objective,
+                             i0=i0, keep_table=table)
+    except NoFiniteObjectiveError as exc:
+        raise DataError(f"optimization failed: {exc}") from exc
     config = {"in": in_path, "mu": mu, "sigma": sigma, "dt": dt,
               "train_window": window, "horizon": horizon, "i0": i0, "jobs": jobs,
               "grid_min": grid.k_values[0], "grid_max": grid.k_values[-1],
@@ -372,7 +376,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
                 raise UsageError(f"duplicate strategy {label} in --fixed-k")
             report, failures = run_fixed_strategy_universe(
                 universe, params, test_window[0], test_window[1],
-                jobs=jobs, skip_errors=skip, truncate=truncate)
+                skip_errors=skip, truncate=truncate)
             strategies[label] = {"failures": failures, "report": report_to_dict(report)}
             summary_rows.append((label, report.summary))
             write_daily_csv(report, out_dir / f"daily_aggregate_{label}.csv")
@@ -386,7 +390,7 @@ def _cmd_backtest(args: argparse.Namespace) -> int:
     policy = _policy_from(fixed_target, drift_target)
     report, failures = backtest_universe(
         universe, split, policy, grid, objective, i0=i0, dt=dt,
-        horizon=horizon, jobs=jobs, skip_errors=skip, truncate=truncate)
+        horizon=horizon, skip_errors=skip, truncate=truncate)
     label = f"{objective.value}_{policy_label(policy)}"
     write_daily_csv(report, out_dir / "daily_aggregate.csv")
     write_summary_csv([(label, report.summary)], out_dir / "summary.csv")
@@ -570,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-window", help="estimation row filter")
     p.add_argument("--horizon", type=float, help="target horizon in years (default 1)")
     p.add_argument("--i0", type=float, help="initial long investment (default 1)")
-    p.add_argument("--jobs", type=int, help="worker threads (default 1)")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--table", action="store_true", default=None,
                    help="emit the full grid evaluation table")
     _add_grid_flags(p)
@@ -586,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float,
                    help="optimization horizon in years (default: test window length)")
     p.add_argument("--i0", type=float, help="initial long investment (default 1)")
-    p.add_argument("--jobs", type=int, help="worker threads (default 1)")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     p.add_argument("--skip-errors", action="store_true", default=None,
                    help="report bad series instead of aborting")
     p.add_argument("--truncate", action="store_true", default=None,

@@ -132,7 +132,8 @@ def expected_gain(cp: ControlParams, gp: GbmParams, t):
 
     Equals (i0/k) * (e**(k*mu*t) - 1 + (alpha/beta)*(e**(-beta*k*mu*t) - 1)),
     i.e. the deterministic total gain evaluated at the ratio q = e**(mu*t);
-    volatility drops out of the mean.
+    volatility drops out of the mean.  cp may carry arrays of gains, which
+    score a whole grid at once.
     """
     _check_horizon(t)
     return gain_total_closed(cp, np.exp(gp.mu * t))
@@ -150,7 +151,8 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
 
     The last term is twice the long-short covariance scaled by c; it is
     non-positive because the books hedge each other.  The variance is zero
-    iff sigma == 0 or t == 0.
+    iff sigma == 0 or t == 0.  cp may carry arrays of gains; the square is
+    np.square so that a scalar and an array round it the same way.
     """
     _check_horizon(t)
     k = cp.k
@@ -161,4 +163,4 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     var_long = np.exp(2.0 * k * m * t) * np.expm1(k * k * s2 * t)
     var_short = c * c * np.exp(-2.0 * ks * m * t) * np.expm1(ks * ks * s2 * t)
     cov = c * np.exp((k - ks) * m * t) * np.expm1(-(k * ks) * s2 * t)
-    return (cp.i0 / k) ** 2 * (var_long + var_short + 2.0 * cov)
+    return np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)

@@ -4,7 +4,8 @@ Given estimated GBM dynamics and a target gain g*, score every grid point
 (k, alpha, beta) by either the squared expected-gain shortfall (bias**2) or
 the mean squared error bias**2 + variance, and keep the best.  The search
 is exhaustive and deterministic: ties resolve to the smallest k, then
-alpha, then beta.
+alpha, then beta.  The whole grid is scored in one array evaluation of the
+same closed forms that score a single ControlParams.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "DriftAdaptiveTarget",
     "FixedTarget",
     "GridSpec",
+    "NoFiniteObjectiveError",
     "Objective",
     "OptimizationResult",
     "TargetPolicy",
@@ -163,8 +165,29 @@ class OptimizationResult:
     table: tuple[tuple[float, float, float, float], ...] | None = None
 
 
-def _objective_value(cp: ControlParams, gp: GbmParams, t: float, target: float,
-                     objective: Objective) -> float:
+class NoFiniteObjectiveError(ValueError):
+    """Every grid point scored NaN or infinity, so no parameter set can win."""
+
+
+class _GridPoints(NamedTuple):
+    """A grid as parallel arrays, in the attribute shape of ControlParams.
+
+    The closed forms read only i0, k, alpha, beta and k_short, so passing
+    this in place of a ControlParams scores every point in one evaluation.
+    """
+
+    i0: float
+    k: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    @property
+    def k_short(self) -> np.ndarray:
+        return self.beta * self.k
+
+
+def _objective_value(cp: ControlParams | _GridPoints, gp: GbmParams, t: float,
+                     target: float, objective: Objective):
     if objective is Objective.MSE:
         return trading_mse(cp, gp, t, target)
     b = trading_bias(cp, gp, t, target)
@@ -176,46 +199,32 @@ def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
                 keep_table: bool = False) -> OptimizationResult:
     """Exhaustively score the grid and return the best parameter set.
 
-    Deterministic regardless of jobs: the grid is enumerated in
-    lexicographic (k, alpha, beta) order and ties keep the earliest point,
-    so parallel partitions reduce to the same winner as a sequential scan.
+    Every point is scored in one array evaluation.  The winner is the first
+    minimum over the finite values in lexicographic (k, alpha, beta) order,
+    so ties keep the earliest point; NaN and infinite values never win, and
+    NoFiniteObjectiveError is raised when no value is finite.  jobs is
+    accepted for compatibility and has no effect.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"horizon t must be positive and finite, got {t!r}")
+    # a bad i0 fails here with its own message, not as a grid of NaN
+    ControlParams(i0, grid.k_values[0], grid.alpha_values[0], grid.beta_values[0])
     target = resolve_target(policy, gp)
-    combos = list(grid.combos())
-
-    def eval_slice(bounds: tuple[int, int]):
-        lo, hi = bounds
-        best_value, best_index = math.inf, -1
-        rows = [] if keep_table else None
-        for i in range(lo, hi):
-            k, alpha, beta = combos[i]
-            cp = ControlParams(i0, k, alpha, beta)
-            value = float(_objective_value(cp, gp, t, target, objective))
-            if rows is not None:
-                rows.append((k, alpha, beta, value))
-            if value < best_value:
-                best_value, best_index = value, i
-        return best_value, best_index, rows
-
-    if jobs <= 1 or len(combos) <= 1:
-        best_value, best_index, rows = eval_slice((0, len(combos)))
-    else:
-        step = -(-len(combos) // jobs)
-        bounds = [(lo, min(lo + step, len(combos))) for lo in range(0, len(combos), step)]
-        with ThreadPoolExecutor(max_workers=len(bounds)) as pool:
-            parts = list(pool.map(eval_slice, bounds))
-        best_value, best_index = min((value, index) for value, index, _ in parts)
-        rows = None
-        if keep_table:
-            rows = [row for _, _, part_rows in parts for row in part_rows]
-
-    k, alpha, beta = combos[best_index]
+    k, alpha, beta = (axis.ravel() for axis in np.meshgrid(
+        grid.k_values, grid.alpha_values, grid.beta_values, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _objective_value(_GridPoints(i0, k, alpha, beta), gp, t, target, objective)
+    finite = np.isfinite(values)
+    if not finite.any():
+        raise NoFiniteObjectiveError("no grid point has a finite objective value")
+    best = int(np.argmin(np.where(finite, values, np.inf)))
+    table = None
+    if keep_table:
+        table = tuple(zip(k.tolist(), alpha.tolist(), beta.tolist(), values.tolist()))
     return OptimizationResult(
-        params=ControlParams(i0, k, alpha, beta),
+        params=ControlParams(i0, float(k[best]), float(alpha[best]), float(beta[best])),
         objective=objective,
-        objective_value=best_value,
+        objective_value=float(values[best]),
         target=float(target),
-        table=tuple(rows) if rows is not None else None,
+        table=table,
     )

@@ -88,14 +88,18 @@ def _check_ratio(q) -> None:
 def gain_long_closed(params: ControlParams, q):
     """Closed-form cumulative gain of the long book at price ratio q.
 
-    q may be a float or an ndarray.
+    q may be a float or an ndarray.  params may hold arrays of gains that
+    broadcast against q.  q goes through np.asarray so that a scalar takes
+    the same ufunc loop as an array and both give the same bits.
     """
+    q = np.asarray(q)
     _check_ratio(q)
     return params.i0 / params.k * (q ** params.k - 1.0)
 
 
 def gain_short_closed(params: ControlParams, q):
     """Closed-form cumulative gain of the short book at price ratio q."""
+    q = np.asarray(q)
     _check_ratio(q)
     ks = params.beta * params.k
     return (params.alpha * params.i0) / ks * (q ** (-ks) - 1.0)

@@ -72,6 +72,17 @@ def test_price_series_window_bounds_are_inclusive():
         s.window(D("2017-01-01"), D("2017-02-01"))
 
 
+def test_price_series_window_keeps_the_parent_slice():
+    s = _series("x", "2016-01-01", np.linspace(1.0, 10.0, 10))
+    w = s.window(D("2016-01-03"), D("2016-01-07"))
+    assert w.symbol == "x"
+    assert w.dates == s.dates[2:7]
+    np.testing.assert_array_equal(w.prices, s.prices[2:7])
+    ww = w.window(D("2016-01-04"), D("2016-01-05"))
+    assert ww.dates == s.dates[3:5]
+    np.testing.assert_array_equal(ww.prices, s.prices[3:5])
+
+
 def test_split_spec_validation():
     SplitSpec(D("2016-01-01"), D("2016-06-30"), D("2016-07-01"), D("2016-12-31"))
     with pytest.raises(ValueError):
@@ -241,6 +252,32 @@ def test_backtest_one_window_errors():
     s = _series("thin", "2016-06-29", np.linspace(1.0, 2.0, 10))
     with pytest.raises(DataError, match="estimation failed"):
         backtest_one(s, SPLIT, FixedTarget(0.15), GridSpec.default(), Objective.MSE)
+
+
+def _explosive(symbol):
+    # alternating between 1 and 1e130 gives mu_hat ~ 1e7, so every grid
+    # point's objective overflows
+    prices = np.where(np.arange(366) % 2 == 0, 1.0, 1e130)
+    return _series(symbol, "2016-01-01", prices)
+
+
+def test_backtest_one_explosive_training_window_is_a_data_error():
+    with pytest.raises(DataError, match="boom: optimization failed: no grid point"):
+        backtest_one(_explosive("boom"), SPLIT, FixedTarget(0.15), GridSpec.default(),
+                     Objective.MSE)
+
+
+def test_backtest_universe_skip_errors_records_failed_optimization():
+    universe = _gbm_universe(2, 0.1, 0.2, 365, seed_tag=52)
+    universe.append(_explosive("boom"))
+    with pytest.raises(DataError, match="optimization failed"):
+        backtest_universe(universe, SPLIT, FixedTarget(0.15), GridSpec.default(),
+                          Objective.BIAS_SQUARED)
+    report, failures = backtest_universe(universe, SPLIT, FixedTarget(0.15),
+                                         GridSpec.default(), Objective.BIAS_SQUARED,
+                                         skip_errors=True)
+    assert list(failures) == ["boom"]
+    assert [r.symbol for r in report.results] == ["s000", "s001"]
 
 
 def test_run_fixed_strategy_windows_and_errors():

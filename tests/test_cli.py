@@ -208,6 +208,13 @@ def test_optimize_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
+def test_optimize_no_finite_objective_is_a_data_error(tmp_path, capsys):
+    code = main(["optimize", "--mu", "400", "--sigma", "50", "--objective", "mse",
+                 "--target-fixed", "0.15", "--out", str(tmp_path / "opt.json")])
+    assert code == 3
+    assert "no grid point has a finite objective value" in capsys.readouterr().err
+
+
 def test_optimize_rejects_unknown_objective(capsys):
     code = main(["optimize", "--mu", "0.1", "--sigma", "0.2",
                  "--objective", "rmse", "--target-fixed", "0.15"])

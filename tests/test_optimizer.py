@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsls import (
     ControlParams,
@@ -12,14 +14,17 @@ from gsls import (
     FixedTarget,
     GbmParams,
     GridSpec,
+    NoFiniteObjectiveError,
     Objective,
     expected_gain,
+    gain_variance,
     grid_search,
     policy_label,
     resolve_target,
     trading_bias,
     trading_mse,
 )
+from gsls.optimizer import _GridPoints
 
 
 def test_objective_enum_values():
@@ -233,3 +238,82 @@ def test_mse_picks_more_conservative_expected_gain_for_some_volatility():
         mse = grid_search(gp, 1.0, FixedTarget(0.15), grid, Objective.MSE)
         found.append(expected_gain(mse.params, gp, 1.0) < expected_gain(bias.params, gp, 1.0))
     assert any(found)
+
+
+def test_grid_search_raises_when_no_value_is_finite():
+    # every point overflows or meets inf - inf in the variance
+    with pytest.raises(NoFiniteObjectiveError, match="no grid point has a finite objective value"):
+        grid_search(GbmParams(400.0, 50.0), 1.0, FixedTarget(0.15),
+                    GridSpec.default(), Objective.MSE)
+
+
+def test_grid_search_never_picks_a_non_finite_value():
+    res = grid_search(GbmParams(60.0, 3.0), 1.0, FixedTarget(0.15), GridSpec.default(),
+                      Objective.MSE, keep_table=True)
+    values = [row[3] for row in res.table]
+    assert not all(math.isfinite(v) for v in values)
+    best = min(v for v in values if math.isfinite(v))
+    first = next(row for row in res.table if row[3] == best)
+    assert math.isfinite(res.objective_value)
+    assert res.objective_value == best
+    assert (res.params.k, res.params.alpha, res.params.beta) == first[:3]
+
+
+def test_grid_search_rejects_bad_i0_before_scoring():
+    with pytest.raises(ValueError, match="i0"):
+        grid_search(GbmParams(400.0, 50.0), 1.0, FixedTarget(0.15),
+                    GridSpec.default(), Objective.MSE, i0=0.0)
+
+
+_grid_axis = st.lists(st.floats(0.05, 10.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu=st.floats(-2.0, 2.0), sigma=st.floats(0.0, 1.5),
+       t=st.floats(0.0, 3.0, exclude_min=True), target=st.floats(-2.0, 2.0),
+       i0=st.floats(0.01, 100.0), objective=st.sampled_from(Objective),
+       k_values=_grid_axis, alpha_values=_grid_axis, beta_values=_grid_axis)
+def test_grid_search_rows_equal_the_scalar_api(mu, sigma, t, target, i0, objective,
+                                               k_values, alpha_values, beta_values):
+    gp = GbmParams(mu, sigma)
+    grid = GridSpec(k_values, alpha_values, beta_values)
+    expected = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, a, b in grid.combos():
+            cp = ControlParams(i0, k, a, b)
+            if objective is Objective.MSE:
+                expected.append(float(trading_mse(cp, gp, t, target)))
+            else:
+                # b*b, as the search squares it; np.float64 ** 2 calls pow,
+                # which differs from the product in the last bit on ~0.1% of inputs
+                bias = trading_bias(cp, gp, t, target)
+                expected.append(float(bias * bias))
+    finite = [v for v in expected if math.isfinite(v)]
+    if not finite:
+        with pytest.raises(NoFiniteObjectiveError):
+            grid_search(gp, t, FixedTarget(target), grid, objective, i0=i0)
+        return
+    res = grid_search(gp, t, FixedTarget(target), grid, objective, i0=i0, keep_table=True)
+    assert [row[:3] for row in res.table] == list(grid.combos())
+    for row, value in zip(res.table, expected):
+        assert row[3] == value or not (math.isfinite(row[3]) or math.isfinite(value))
+    first = expected.index(min(finite))
+    assert res.params == ControlParams(i0, *list(grid.combos())[first])
+    assert res.objective_value == min(finite)
+
+
+def test_closed_forms_on_grid_points_equal_the_scalar_api():
+    # irregular values reach the ~0.1% of inputs where two roundings of one
+    # formula (pow against a product, or a scalar loop against a vector one)
+    # differ in the last bit; the moments are compared before the objective
+    # can absorb such a difference
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        gp = GbmParams(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.5))
+        t, i0 = rng.uniform(0.01, 3.0), rng.uniform(0.01, 100.0)
+        k, a, b = rng.uniform(0.05, 10.0, (3, 500))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn in (expected_gain, gain_variance):
+                batch = fn(_GridPoints(i0, k, a, b), gp, t)
+                scalar = np.array([fn(ControlParams(i0, *x), gp, t) for x in zip(k, a, b)])
+                np.testing.assert_array_equal(batch, scalar)

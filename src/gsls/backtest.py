@@ -382,15 +382,15 @@ def report_to_dict(report: BacktestReport) -> dict:
                 "sigma_hat": r.sigma_hat,
                 "objective_value": r.objective_value,
                 "final_gain": r.final_gain,
-                "gains": [float(g) for g in r.gains],
+                "gains": r.gains.tolist(),
             }
             for r in report.results
         ],
         "daily": {
-            "mean": [float(v) for v in report.day_mean],
-            "q025": [float(v) for v in report.day_q025],
-            "q50": [float(v) for v in report.day_q50],
-            "q975": [float(v) for v in report.day_q975],
+            "mean": report.day_mean.tolist(),
+            "q025": report.day_q025.tolist(),
+            "q50": report.day_q50.tolist(),
+            "q975": report.day_q975.tolist(),
         },
         "summary": {
             "q1": report.summary.q1,

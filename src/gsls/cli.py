@@ -145,7 +145,8 @@ class _Resolver:
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    # one line: CPython's C encoder runs only without indent
+    text = json.dumps(payload, sort_keys=True, default=str) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

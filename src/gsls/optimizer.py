@@ -166,7 +166,7 @@ class OptimizationResult:
 
 
 class NoFiniteObjectiveError(ValueError):
-    """Every grid point scored NaN or infinity, so no parameter set can win."""
+    """No grid point has a finite objective value, so no parameter set can win."""
 
 
 class _GridPoints(NamedTuple):
@@ -202,7 +202,8 @@ def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
     Every point is scored in one array evaluation.  The winner is the first
     minimum over the finite values in lexicographic (k, alpha, beta) order,
     so ties keep the earliest point; NaN and infinite values never win, and
-    NoFiniteObjectiveError is raised when no value is finite.  jobs is
+    NoFiniteObjectiveError is raised when no value is finite or when
+    e^(mu*t) underflows to 0, where no point can be scored.  jobs is
     accepted for compatibility and has no effect.
     """
     if not (math.isfinite(t) and t > 0.0):
@@ -213,6 +214,10 @@ def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
     k, alpha, beta = (axis.ravel() for axis in np.meshgrid(
         grid.k_values, grid.alpha_values, grid.beta_values, indexing="ij"))
     with np.errstate(over="ignore", invalid="ignore"):
+        # the mean gain is the closed form at q = e^(mu*t), undefined at q == 0
+        if not np.exp(gp.mu * t) > 0.0:
+            raise NoFiniteObjectiveError(
+                f"price ratio e^(mu*t) underflows to 0 at mu*t = {gp.mu * t:g}")
         values = _objective_value(_GridPoints(i0, k, alpha, beta), gp, t, target, objective)
     finite = np.isfinite(values)
     if not finite.any():

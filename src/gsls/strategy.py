@@ -85,16 +85,30 @@ def _check_ratio(q) -> None:
         raise ValueError("price ratio q must be strictly positive")
 
 
+def _power(q: np.ndarray, e):
+    """q**e from numpy's pow loop, for one exponent or an array of them.
+
+    Given one exponent for many bases, numpy replaces pow by 1/q, sqrt(q)
+    or q*q at -1, 0.5 and 2, which differ from pow in the last bit on some
+    q near 1.  An exponent array of the result's own shape keeps pow, so a
+    ControlParams and a grid holding it give the same bits.
+    """
+    e = np.asarray(e, dtype=float)
+    shape = np.broadcast_shapes(q.shape, e.shape)
+    return np.power(q, np.full(shape or (1,), e)).reshape(shape)[()]
+
+
 def gain_long_closed(params: ControlParams, q):
     """Closed-form cumulative gain of the long book at price ratio q.
 
     q may be a float or an ndarray.  params may hold arrays of gains that
-    broadcast against q.  q goes through np.asarray so that a scalar takes
-    the same ufunc loop as an array and both give the same bits.
+    broadcast against q.  q goes through np.asarray and the power through
+    _power, so that a scalar takes the same ufunc loop as an array and both
+    give the same bits.
     """
     q = np.asarray(q)
     _check_ratio(q)
-    return params.i0 / params.k * (q ** params.k - 1.0)
+    return params.i0 / params.k * (_power(q, params.k) - 1.0)
 
 
 def gain_short_closed(params: ControlParams, q):
@@ -102,7 +116,7 @@ def gain_short_closed(params: ControlParams, q):
     q = np.asarray(q)
     _check_ratio(q)
     ks = params.beta * params.k
-    return (params.alpha * params.i0) / ks * (q ** (-ks) - 1.0)
+    return (params.alpha * params.i0) / ks * (_power(q, -ks) - 1.0)
 
 
 def gain_total_closed(params: ControlParams, q):

@@ -280,6 +280,20 @@ def test_backtest_universe_skip_errors_records_failed_optimization():
     assert [r.symbol for r in report.results] == ["s000", "s001"]
 
 
+def test_backtest_universe_skip_errors_records_an_underflowing_price_ratio():
+    # a training drift of -2 a day gives mu_hat = -504, so at a horizon of 2
+    # years e^(mu*t) underflows to 0
+    universe = _gbm_universe(2, 0.1, 0.2, 365, seed_tag=54)
+    universe.append(_series("fall", "2016-01-01", 100.0 * np.exp(-2.0 * np.arange(366))))
+    args = (universe, SPLIT, FixedTarget(0.15), GridSpec.default(), Objective.MSE)
+    with pytest.raises(DataError, match="fall: optimization failed: price ratio"):
+        backtest_universe(*args, horizon=2.0)
+    report, failures = backtest_universe(*args, horizon=2.0, skip_errors=True)
+    assert list(failures) == ["fall"]
+    assert "underflows to 0" in failures["fall"]
+    assert [r.symbol for r in report.results] == ["s000", "s001"]
+
+
 def test_run_fixed_strategy_windows_and_errors():
     s = _series("x", "2016-01-01", np.linspace(100.0, 110.0, 20))
     r = run_fixed_strategy(s, ControlParams(1.0, 1.0), D("2016-01-05"), D("2016-01-10"))
@@ -377,6 +391,20 @@ def test_report_to_dict_is_json_ready():
     assert [row["symbol"] for row in doc["series"]] == ["s000", "s001", "s002"]
     assert doc["summary"]["iqr"] == pytest.approx(doc["summary"]["q3"] - doc["summary"]["q1"])
     assert len(doc["daily"]["mean"]) == report.n_days
+
+
+def test_report_to_dict_holds_the_gains_bit_for_bit():
+    universe = _gbm_universe(3, 0.1, 0.2, 120, seed_tag=53)
+    split = SplitSpec(D("2016-01-01"), D("2016-03-01"), D("2016-03-02"), D("2016-04-30"))
+    report, _ = backtest_universe(universe, split, FixedTarget(0.15),
+                                  GridSpec.default(), Objective.MSE)
+    doc = report_to_dict(report)
+    pairs = [(row["gains"], r.gains) for row, r in zip(doc["series"], report.results)]
+    pairs += [(doc["daily"][key], getattr(report, f"day_{key}"))
+              for key in ("mean", "q025", "q50", "q975")]
+    for values, array in pairs:
+        assert all(type(v) is float for v in values)
+        np.testing.assert_array_equal(np.array(values).view(np.uint64), array.view(np.uint64))
 
 
 def test_csv_writers(tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -215,6 +216,14 @@ def test_optimize_no_finite_objective_is_a_data_error(tmp_path, capsys):
     assert "no grid point has a finite objective value" in capsys.readouterr().err
 
 
+def test_optimize_underflowing_price_ratio_is_a_data_error(tmp_path, capsys):
+    code = main(["optimize", "--mu", "-400", "--sigma", "1", "--horizon", "2",
+                 "--objective", "mse", "--target-fixed", "0.15",
+                 "--out", str(tmp_path / "opt.json")])
+    assert code == 3
+    assert "price ratio e^(mu*t) underflows to 0" in capsys.readouterr().err
+
+
 def test_optimize_rejects_unknown_objective(capsys):
     code = main(["optimize", "--mu", "0.1", "--sigma", "0.2",
                  "--objective", "rmse", "--target-fixed", "0.15"])
@@ -315,6 +324,35 @@ def test_backtest_bad_series_data_error_and_skip(tmp_path, capsys):
     assert list(doc["load_failures"]) == ["zz_bad.csv"]
     assert len(doc["report"]["series"]) == 2
     capsys.readouterr()
+
+
+def test_backtest_underflowing_price_ratio_is_a_data_error_and_skip(tmp_path, capsys):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    # -2 a day in log price: mu_hat = -504, so e^(mu*t) underflows at --horizon 2
+    rows = [f"2016-{1 + i // 31:02d}-{1 + i % 31:02d},{100.0 * math.exp(-2.0 * i)!r}"
+            for i in range(60)]
+    (universe / "zz_fall.csv").write_text("date,close\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "run"
+    base = ["backtest", "--in", str(universe), "--out", str(out), *BACKTEST_WINDOWS,
+            "--objective", "mse", "--target-fixed", "0.15", "--horizon", "2"]
+    assert main(base) == 3
+    assert "zz_fall: optimization failed: price ratio" in capsys.readouterr().err
+    assert main([*base, "--skip-errors"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert list(doc["failures"]) == ["zz_fall"]
+    assert "underflows to 0" in doc["failures"]["zz_fall"]
+    assert len(doc["report"]["series"]) == 2
+
+
+def test_json_outputs_are_one_line(tmp_path):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    out = tmp_path / "run"
+    assert main(["backtest", "--in", str(universe), "--out", str(out), *BACKTEST_WINDOWS,
+                 "--objective", "bias", "--target-fixed", "0.15"]) == 0
+    for path in (universe / "manifest.json", out / "report.json"):
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text)
 
 
 def test_backtest_bad_window_format(tmp_path, capsys):

@@ -265,6 +265,13 @@ def test_grid_search_rejects_bad_i0_before_scoring():
                     GridSpec.default(), Objective.MSE, i0=0.0)
 
 
+def test_grid_search_underflowing_price_ratio_raises_before_scoring():
+    # mu*t = -800: e^(mu*t) is 0, where the mean gain is undefined
+    with pytest.raises(NoFiniteObjectiveError, match="price ratio e\\^\\(mu\\*t\\) underflows to 0"):
+        grid_search(GbmParams(-400.0, 1.0), 2.0, FixedTarget(0.15), GridSpec.default(),
+                    Objective.MSE)
+
+
 _grid_axis = st.lists(st.floats(0.05, 10.0), min_size=1, max_size=4)
 
 
@@ -317,3 +324,17 @@ def test_closed_forms_on_grid_points_equal_the_scalar_api():
                 batch = fn(_GridPoints(i0, k, a, b), gp, t)
                 scalar = np.array([fn(ControlParams(i0, *x), gp, t) for x in zip(k, a, b)])
                 np.testing.assert_array_equal(batch, scalar)
+
+
+def test_special_exponents_on_grid_points_equal_the_scalar_api():
+    # numpy swaps pow for 1/q, sqrt(q) or q*q when one exponent of -1, 0.5
+    # or 2 meets the base; near q = 1 those differ from pow in the last bit,
+    # which the cancellation in a small mean gain turns into large errors
+    values = (0.5, 1.0, 2.0)
+    k, a, b = (np.array(axis, dtype=float) for axis in zip(*itertools.product(values, repeat=3)))
+    rng = np.random.default_rng(34)
+    for mu_t in rng.uniform(-1e-6, 1e-6, 200):
+        gp, t = GbmParams(mu_t, 0.0), 1.0
+        batch = expected_gain(_GridPoints(1.0, k, a, b), gp, t)
+        scalar = np.array([expected_gain(ControlParams(1.0, *x), gp, t) for x in zip(k, a, b)])
+        np.testing.assert_array_equal(batch, scalar)

@@ -74,7 +74,9 @@ class GbmPath:
 def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed) -> np.ndarray:
     """Simulate independent GBM paths; returns shape (n_paths, steps + 1).
 
-    Identical seeds reproduce identical paths.
+    Identical seeds reproduce identical paths.  The normal draws become the
+    log increments in place, and their running sum, its exponential and the
+    scaling by p0 are written straight into the returned array.
     """
     if not (math.isfinite(p0) and p0 > 0.0):
         raise ValueError(f"p0 must be positive and finite, got {p0!r}")
@@ -84,10 +86,14 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_paths, steps))
-    increments = (params.mu - 0.5 * params.sigma**2) * params.dt + params.sigma * math.sqrt(params.dt) * z
+    z *= params.sigma * math.sqrt(params.dt)
+    z += (params.mu - 0.5 * params.sigma**2) * params.dt
     out = np.empty((n_paths, steps + 1))
     out[:, 0] = p0
-    out[:, 1:] = p0 * np.exp(np.cumsum(increments, axis=1))
+    tail = out[:, 1:]
+    np.cumsum(z, axis=1, out=tail)
+    np.exp(tail, out=tail)
+    tail *= p0
     return out
 
 
@@ -139,6 +145,20 @@ def expected_gain(cp: ControlParams, gp: GbmParams, t):
     return gain_total_closed(cp, np.exp(gp.mu * t))
 
 
+def _variance_term(scale, a, b):
+    """scale * e**a * (e**b - 1), one book's term of the gain variance.
+
+    Where e**a underflows to 0 while e**b - 1 overflows, the product reads
+    0 * inf = NaN although the term may be finite.  There e**b - 1 equals
+    e**b to double precision, so those entries become scale * e**(a + b).
+    """
+    term = scale * np.exp(a) * np.expm1(b)
+    nan = np.isnan(term)
+    if nan.any():
+        term = np.where(nan, scale * np.exp(a + b), term)
+    return term
+
+
 def gain_variance(cp: ControlParams, gp: GbmParams, t):
     """Variance of the strategy gain at horizon t under GBM.
 
@@ -160,7 +180,7 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     c = cp.alpha / cp.beta
     m = gp.mu
     s2 = gp.sigma * gp.sigma
-    var_long = np.exp(2.0 * k * m * t) * np.expm1(k * k * s2 * t)
-    var_short = c * c * np.exp(-2.0 * ks * m * t) * np.expm1(ks * ks * s2 * t)
+    var_long = _variance_term(1.0, 2.0 * k * m * t, k * k * s2 * t)
+    var_short = _variance_term(c * c, -2.0 * ks * m * t, ks * ks * s2 * t)
     cov = c * np.exp((k - ks) * m * t) * np.expm1(-(k * ks) * s2 * t)
     return np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)

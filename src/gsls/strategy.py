@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -133,14 +134,17 @@ def feedback_gain_partials(params: ControlParams, q):
         dg/dK_S = alpha*i0 * (q**(-K_S) * (-K_S*ln q - 1) + 1) / K_S**2
 
     Both are non-negative for every q > 0 because e**x * (x - 1) + 1 >= 0;
-    the total gain never decreases when either feedback gain grows.
+    the total gain never decreases when either feedback gain grows.  As in
+    the closed forms, q goes through np.asarray and the powers through
+    _power, so a scalar q and an array of it give the same bits.
     """
+    q = np.asarray(q)
     _check_ratio(q)
     kl = params.k
     ks = params.beta * params.k
     lnq = np.log(q)
-    d_long = params.i0 * (q ** kl * (kl * lnq - 1.0) + 1.0) / kl**2
-    d_short = params.alpha * params.i0 * (q ** (-ks) * (-ks * lnq - 1.0) + 1.0) / ks**2
+    d_long = params.i0 * (_power(q, kl) * (kl * lnq - 1.0) + 1.0) / kl**2
+    d_short = params.alpha * params.i0 * (_power(q, -ks) * (-ks * lnq - 1.0) + 1.0) / ks**2
     return d_long, d_short
 
 
@@ -174,22 +178,53 @@ def positive_gain_condition(params: ControlParams, q: float) -> bool:
     return (1.0 - params.alpha) * math.log(q) >= 0.0
 
 
+def _gain_long(params: ControlParams, inv_long: np.ndarray) -> np.ndarray:
+    """Long-book gain (I_L - i0)/k from the long investment, in a new array."""
+    gain = inv_long - params.i0
+    gain /= params.k
+    return gain
+
+
+def _gain_short(params: ControlParams, inv_short: np.ndarray) -> np.ndarray:
+    """Short-book gain -(I_S + alpha*i0)/(beta*k), in a new array."""
+    gain = inv_short + params.alpha * params.i0
+    np.negative(gain, out=gain)
+    gain /= params.k_short
+    return gain
+
+
 @dataclass(frozen=True)
 class StrategyTrace:
     """Step-by-step record of a discrete strategy run.
 
     All arrays share the shape of the input prices with time along the last
     axis, so a batch of paths produces a batch of traces in one object.
+
+    run_strategy fills prices, the two investments and the total gain.
+    gain_long, gain_short and inv_net are derived from the investments and
+    params on first access, then cached on the instance, so a caller that
+    reads only gain never allocates them.  The constructor therefore takes
+    params and no longer takes those three arrays.
     """
 
     times: np.ndarray
     prices: np.ndarray
-    gain_long: np.ndarray
-    gain_short: np.ndarray
+    params: ControlParams
     gain: np.ndarray
     inv_long: np.ndarray
     inv_short: np.ndarray
-    inv_net: np.ndarray
+
+    @cached_property
+    def gain_long(self) -> np.ndarray:
+        return _gain_long(self.params, self.inv_long)
+
+    @cached_property
+    def gain_short(self) -> np.ndarray:
+        return _gain_short(self.params, self.inv_short)
+
+    @cached_property
+    def inv_net(self) -> np.ndarray:
+        return self.inv_long + self.inv_short
 
     @property
     def final_gain(self):
@@ -219,7 +254,10 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
     so halving the step halves the error.
 
     prices may be any array with time along the last axis; leading axes are
-    treated as independent paths.
+    treated as independent paths.  The factors and their products are
+    written in place into the investment arrays, whose first column is the
+    unit factor, so the only other arrays a run allocates are the returns
+    and the short book's gain.
     """
     p = np.asarray(prices, dtype=float)
     if p.ndim == 0 or p.shape[-1] < 1:
@@ -234,22 +272,26 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
         if times.shape != (n,):
             raise ValueError(f"times must have shape ({n},), got {times.shape}")
 
-    r = np.diff(p, axis=-1) / p[..., :-1]
-    lead = np.ones(p.shape[:-1] + (1,))
-    long_factor = np.concatenate([lead, np.cumprod(1.0 + params.k * r, axis=-1)], axis=-1)
-    short_factor = np.concatenate([lead, np.cumprod(1.0 - params.k_short * r, axis=-1)], axis=-1)
+    r = np.diff(p, axis=-1)
+    r /= p[..., :-1]
 
-    inv_long = params.i0 * long_factor
-    inv_short = -(params.alpha * params.i0) * short_factor
-    gain_long = (inv_long - params.i0) / params.k
-    gain_short = -(inv_short + params.alpha * params.i0) / params.k_short
-    return StrategyTrace(
-        times=times,
-        prices=p,
-        gain_long=gain_long,
-        gain_short=gain_short,
-        gain=gain_long + gain_short,
-        inv_long=inv_long,
-        inv_short=inv_short,
-        inv_net=inv_long + inv_short,
-    )
+    inv_long = np.empty(p.shape)
+    inv_long[..., 0] = 1.0
+    long_factor = inv_long[..., 1:]
+    np.multiply(r, params.k, out=long_factor)
+    long_factor += 1.0
+    np.cumprod(long_factor, axis=-1, out=long_factor)
+    inv_long *= params.i0
+
+    inv_short = np.empty(p.shape)
+    inv_short[..., 0] = 1.0
+    short_factor = inv_short[..., 1:]
+    r *= params.k_short
+    np.subtract(1.0, r, out=short_factor)
+    np.cumprod(short_factor, axis=-1, out=short_factor)
+    inv_short *= -(params.alpha * params.i0)
+
+    gain = _gain_long(params, inv_long)
+    gain += _gain_short(params, inv_short)
+    return StrategyTrace(times=times, prices=p, params=params, gain=gain,
+                         inv_long=inv_long, inv_short=inv_short)

@@ -214,3 +214,89 @@ def test_gain_moments_against_monte_carlo():
     se = finals.std(ddof=1) / math.sqrt(len(finals))
     assert abs(finals.mean() - expected_gain(cp, gp, t)) < 4.0 * se
     assert finals.var(ddof=1) == pytest.approx(gain_variance(cp, gp, t), rel=0.1)
+
+
+def _eager_paths(params, p0, steps, n_paths, seed):
+    """simulate_paths as the eager array expressions it is defined by."""
+    z = np.random.default_rng(seed).standard_normal((n_paths, steps))
+    increments = (params.mu - 0.5 * params.sigma**2) * params.dt + params.sigma * math.sqrt(params.dt) * z
+    out = np.empty((n_paths, steps + 1))
+    out[:, 0] = p0
+    out[:, 1:] = p0 * np.exp(np.cumsum(increments, axis=1))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, [3, 1, 4]])
+@pytest.mark.parametrize("steps, n_paths", [(1, 1), (252, 1), (17, 9), (252, 300)])
+def test_simulate_paths_equals_eager_expressions_bit_for_bit(seed, steps, n_paths):
+    for gp, p0 in [(GbmParams(0.1, 0.2), 100.0), (GbmParams(-0.7, 1.3, dt=0.01), 3.5),
+                   (GbmParams(0.05, 0.0), 1.0)]:
+        got = simulate_paths(gp, p0, steps, n_paths, seed)
+        np.testing.assert_array_equal(got, _eager_paths(gp, p0, steps, n_paths, seed))
+
+
+def _grid_points():
+    from gsls import GridSpec
+    from gsls.optimizer import _GridPoints
+
+    k, alpha, beta = np.array(list(GridSpec.default().combos()), dtype=float).T
+    return _GridPoints(1.0, k, alpha, beta)
+
+
+def _product_form_variance(cp, gp, t):
+    """gain_variance as the plain product form, with its 0 * inf NaNs."""
+    k, ks, c, m, s2 = cp.k, cp.k_short, cp.alpha / cp.beta, gp.mu, gp.sigma * gp.sigma
+    var_long = np.exp(2.0 * k * m * t) * np.expm1(k * k * s2 * t)
+    var_short = c * c * np.exp(-2.0 * ks * m * t) * np.expm1(ks * ks * s2 * t)
+    cov = c * np.exp((k - ks) * m * t) * np.expm1(-(k * ks) * s2 * t)
+    return np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)
+
+
+def test_gain_variance_has_no_zero_times_infinity_nan():
+    # at (60, 3) exp(-2*k_s*mu*t) underflows while expm1(k_s**2*sigma**2*t)
+    # overflows on 350 of the default grid's 1000 points
+    cp, gp = _grid_points(), GbmParams(60.0, 3.0)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        plain = _product_form_variance(cp, gp, 1.0)
+        v = gain_variance(cp, gp, 1.0)
+    assert np.isnan(plain).sum() == 350
+    assert not np.isnan(v).any()
+    assert np.isfinite(v).sum() == 780
+    # the short-book term there is c**2 * exp(-351) = 0.1**2 * exp(-351)
+    one = ControlParams(1.0, 2.0, 0.5, 4.5)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert math.isfinite(gain_variance(one, gp, 1.0))
+
+
+def test_gain_variance_term_past_underflow_matches_high_precision():
+    # exp(-2*k_s*mu*t) = exp(-750) underflows and expm1(k_s**2*sigma**2*t) =
+    # expm1(1250) overflows, yet the short-book term c**2*e**500 dominates
+    from decimal import Decimal, localcontext
+
+    cp, gp, t = ControlParams(1.0, 5.0, 2.0, 5.0), GbmParams(15.0, math.sqrt(2.0)), 1.0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        v = gain_variance(cp, gp, t)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k, ks, c = Decimal(cp.k), Decimal(cp.k_short), Decimal(cp.alpha) / Decimal(cp.beta)
+        m, s2, t_ = Decimal(gp.mu), Decimal(gp.sigma) ** 2, Decimal(t)
+        exact = (Decimal(cp.i0) / k) ** 2 * (
+            (2 * k * m * t_).exp() * ((k * k * s2 * t_).exp() - 1)
+            + c * c * (-2 * ks * m * t_).exp() * ((ks * ks * s2 * t_).exp() - 1)
+            + 2 * c * ((k - ks) * m * t_).exp() * ((-k * ks * s2 * t_).exp() - 1))
+    assert v == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_gain_variance_keeps_every_finite_product_form_value():
+    cp = _grid_points()
+    rng = np.random.default_rng(25)
+    cases = [(60.0, 3.0, 1.0), (-60.0, 3.0, 1.0)] + list(zip(
+        rng.uniform(-80.0, 80.0, 60), rng.uniform(0.0, 5.0, 60), rng.uniform(0.01, 3.0, 60)))
+    for mu, sigma, t in cases:
+        gp = GbmParams(float(mu), float(sigma))
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            plain = _product_form_variance(cp, gp, float(t))
+            v = gain_variance(cp, gp, float(t))
+        finite = np.isfinite(plain)
+        np.testing.assert_array_equal(v[finite], plain[finite])
+        assert not (np.isnan(v) & ~np.isnan(plain)).any()

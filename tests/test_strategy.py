@@ -261,3 +261,70 @@ def test_run_strategy_times_argument():
 def test_run_strategy_rejects_bad_prices(prices):
     with pytest.raises(ValueError):
         run_strategy(ControlParams(1.0, 1.0), prices)
+
+
+def test_feedback_gain_partials_scalar_and_array_agree_bit_for_bit():
+    # numpy's shortcut for a broadcast exponent of 2 differs from pow in the
+    # last bit; a scalar q and an array of q must take the same loop
+    qs = np.random.default_rng(21).uniform(0.9, 1.1, 2000)
+    for k, beta in [(2.0, 1.0), (1.0, 0.5), (0.5, 2.0), (3.0, 1.0)]:
+        params = ControlParams(1.0, k, alpha=1.3, beta=beta)
+        d_long, d_short = feedback_gain_partials(params, qs)
+        for i, q in enumerate(qs):
+            s_long, s_short = feedback_gain_partials(params, float(q))
+            assert s_long == d_long[i] and s_short == d_short[i], (k, beta, q)
+
+
+def _eager_trace(params, prices):
+    """The executor's trace as the eager array expressions it is defined by."""
+    p = np.asarray(prices, dtype=float)
+    r = np.diff(p, axis=-1) / p[..., :-1]
+    lead = np.ones(p.shape[:-1] + (1,))
+    long_factor = np.concatenate([lead, np.cumprod(1.0 + params.k * r, axis=-1)], axis=-1)
+    short_factor = np.concatenate([lead, np.cumprod(1.0 - params.k_short * r, axis=-1)], axis=-1)
+    inv_long = params.i0 * long_factor
+    inv_short = -(params.alpha * params.i0) * short_factor
+    gain_long = (inv_long - params.i0) / params.k
+    gain_short = -(inv_short + params.alpha * params.i0) / params.k_short
+    return {"gain": gain_long + gain_short, "gain_long": gain_long, "gain_short": gain_short,
+            "inv_long": inv_long, "inv_short": inv_short, "inv_net": inv_long + inv_short}
+
+
+_TRACE_PRICES = {
+    "one-price": np.array([42.0]),
+    "1-d": 100.0 * np.exp(np.cumsum(np.random.default_rng(22).normal(0, 0.02, 253))),
+    "2-d": 50.0 * np.exp(np.cumsum(np.random.default_rng(23).normal(0, 0.03, (6, 40)), axis=1)),
+    "3-d": np.exp(np.cumsum(np.random.default_rng(24).normal(0, 0.05, (2, 3, 17)), axis=2)),
+    "one-price-batch": np.full((4, 1), 7.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_PRICES))
+@pytest.mark.parametrize("params", [
+    ControlParams(1.0, 1.0),
+    ControlParams(1.5, 2.0, alpha=0.5, beta=3.0),
+    ControlParams(0.7, 4.3, alpha=1.9, beta=0.35),
+])
+def test_run_strategy_trace_equals_eager_expressions_bit_for_bit(name, params):
+    prices = _TRACE_PRICES[name]
+    before = prices.copy()
+    trace = run_strategy(params, prices)
+    np.testing.assert_array_equal(prices, before)  # the caller's prices are untouched
+    assert trace.params == params
+    for field, expected in _eager_trace(params, before).items():
+        got = getattr(trace, field)
+        assert got.shape == expected.shape == prices.shape, field
+        np.testing.assert_array_equal(got, expected, err_msg=field)
+
+
+def test_run_strategy_derives_book_gains_and_net_investment_on_first_access():
+    prices = _TRACE_PRICES["2-d"]
+    trace = run_strategy(ControlParams(1.0, 2.0, alpha=1.5, beta=0.7), prices)
+    for field in ("gain_long", "gain_short", "inv_net"):
+        assert field not in vars(trace)
+        first = getattr(trace, field)
+        assert vars(trace)[field] is first
+        assert getattr(trace, field) is first
+    assert not np.shares_memory(trace.prices, trace.inv_long)
+    assert not np.shares_memory(trace.gain, trace.gain_long)
+

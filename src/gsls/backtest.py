@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +77,7 @@ class PriceSeries:
             raise DataError(f"{self.symbol}: {len(self.dates)} dates vs {len(prices)} prices")
         if len(prices) == 0:
             raise DataError(f"{self.symbol}: empty series")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
             raise DataError(f"{self.symbol}: dates must be strictly increasing")
         if not np.all(np.isfinite(prices) & (prices > 0.0)):
             raise DataError(f"{self.symbol}: prices must be positive and finite")
@@ -120,13 +122,39 @@ def load_series(path) -> PriceSeries:
     """Parse one ``date,close`` CSV into a validated PriceSeries.
 
     Row numbers in error messages count from 1 at the header line.
+
+    A file without quotes whose every data line holds exactly one comma is
+    parsed column by column in a few C-level passes.  Any other file, and
+    any such file the bulk pass rejects, goes through the row loop, which
+    therefore decides every error message.
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+    lines = text.splitlines()
+    limit = csv.field_size_limit()
+    if (lines and '"' not in text
+            # csv.reader raises on a field over its size limit; leave that to the loop
+            and (len(text) <= limit or max(map(len, lines)) <= limit)
+            and [h.strip().lower() for h in lines[0].split(",")] == ["date", "close"]):
+        try:
+            # a line without exactly one comma leaves a comma or nothing in
+            # its price cell, which float rejects
+            days, _, closes = zip(*map(str.partition, lines[1:], repeat(",")))
+            dates = tuple(map(date.fromisoformat, map(str.strip, days)))
+            prices = np.fromiter(map(float, closes), float, len(closes))
+            # PriceSeries checks order and prices; its DataError is a ValueError
+            return PriceSeries(path.stem, dates, prices)
+        except ValueError:
+            pass  # the loop finds the offending row and words the error
+    return _load_rows(path, lines)
+
+
+def _load_rows(path: Path, lines: list[str]) -> PriceSeries:
+    """The general parser: csv.reader and per-row checks over the lines."""
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:

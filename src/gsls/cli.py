@@ -485,14 +485,12 @@ def _plot_gain_vs_k(r: _Resolver) -> None:
     beta = r.get("beta", float, 1.0)
     i0 = r.get("i0", float, 1.0)
     target = r.get("target_fixed", float, 0.0)
-    lo = r.get("grid_min", float, 0.5)
-    hi = r.get("grid_max", float, 5.0)
-    n = r.get("grid_n", int, 10)
+    grid = _resolve_grid(r)
     out = r.get("out", str)
     r.finish()
     gp = GbmParams(mu, sigma, dt)
     out_rows = []
-    for k in GridSpec.equally_spaced(lo, hi, n).k_values:
+    for k in grid.k_values:
         cp = ControlParams(i0, k, alpha, beta)
         out_rows.append((
             _fmt(k),

@@ -146,16 +146,18 @@ def expected_gain(cp: ControlParams, gp: GbmParams, t):
 
 
 def _variance_term(scale, a, b):
-    """scale * e**a * (e**b - 1), one book's term of the gain variance.
+    """scale * e**a * (e**b - 1), one term of the gain variance.
 
-    Where e**a underflows to 0 while e**b - 1 overflows, the product reads
-    0 * inf = NaN although the term may be finite.  There e**b - 1 equals
-    e**b to double precision, so those entries become scale * e**(a + b).
+    The product reads 0 * inf = NaN in two places where the term is not
+    NaN.  Where b == 0 (sigma == 0), e**b - 1 is exactly 0, so the term is 0
+    even where e**a overflows.  Where e**a underflows to 0 while e**b - 1
+    overflows, e**b - 1 equals e**b to double precision, so the term is
+    scale * e**(a + b).
     """
     term = scale * np.exp(a) * np.expm1(b)
     nan = np.isnan(term)
     if nan.any():
-        term = np.where(nan, scale * np.exp(a + b), term)
+        term = np.where(nan, np.where(b == 0.0, 0.0, scale * np.exp(a + b)), term)
     return term
 
 
@@ -182,5 +184,5 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     s2 = gp.sigma * gp.sigma
     var_long = _variance_term(1.0, 2.0 * k * m * t, k * k * s2 * t)
     var_short = _variance_term(c * c, -2.0 * ks * m * t, ks * ks * s2 * t)
-    cov = c * np.exp((k - ks) * m * t) * np.expm1(-(k * ks) * s2 * t)
+    cov = _variance_term(c, (k - ks) * m * t, -(k * ks) * s2 * t)
     return np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)

@@ -228,7 +228,8 @@ class StrategyTrace:
 
     @property
     def final_gain(self):
-        return self.gain[..., -1]
+        # a copy, so keeping final gains does not keep every full gain array
+        return self.gain[..., -1].copy()
 
 
 def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:

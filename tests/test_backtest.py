@@ -7,7 +7,10 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from gsls import backtest as backtest_module
 from gsls import (
     ControlParams,
     DataError,
@@ -128,6 +131,112 @@ def test_load_series_reports_the_offending_row(tmp_path, body, fragment):
 def test_load_series_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_series(tmp_path / "nope.csv")
+
+
+_BAD_DATES = ["not-a-date", "2016-13-01", "2016-02-30", "", "today", "2007-01", "NaT",
+              "0000-01-01", "20160102"]
+_ODD_PRICES = ["1_000", " 12.5 ", "\t7", "abc", "", "0", "-0.0", "-3.5", "inf", "-inf",
+               "nan", "1e999", "0x10"]
+
+
+@st.composite
+def _price_csv(draw):
+    """A date,close text: canonical, or with odd lines, cells and endings."""
+    days = draw(st.lists(st.dates(date(2015, 12, 1), date(2016, 3, 31)), max_size=6,
+                         unique=draw(st.integers(0, 3)) > 0))
+    days = sorted(days) if draw(st.integers(0, 3)) else draw(st.permutations(days))
+    odd = draw(st.booleans())
+    lines = [draw(st.sampled_from(["date,close", "Date, Close", "date,close,x", "time,close"]))
+             if odd and not draw(st.integers(0, 3)) else "date,close"]
+    carry = ""  # kind 8 moves a line's price to the start of the next line
+    for day in days:
+        day_cell, price_cell = day.isoformat(), repr(draw(st.floats(1e-3, 1e6)))
+        kind = draw(st.integers(0, 23)) if odd else 23
+        if kind == 0:
+            day_cell = draw(st.sampled_from(_BAD_DATES))
+        elif kind == 1:
+            price_cell = draw(st.sampled_from(_ODD_PRICES))
+        elif kind == 2:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        elif kind == 3:
+            day_cell, price_cell = f" {day_cell}\t", f" {price_cell} "
+        lines.append(carry + {
+            4: f'"{day_cell}","{price_cell}"',
+            5: f'{day_cell},"{price_cell}"',
+            6: day_cell,
+            7: f"{day_cell},{price_cell},{price_cell}",
+            8: day_cell,
+        }.get(kind, f"{day_cell},{price_cell}"))
+        carry = f"{price_cell}," if kind == 8 else ""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _loaded(load, *args):
+    """What a loader returns, as comparable values, or its DataError text."""
+    try:
+        series = load(*args)
+    except DataError as exc:
+        return str(exc)
+    return series.symbol, series.dates, series.prices.tobytes()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_price_csv())
+def test_load_series_equals_the_row_loop(tmp_path, text):
+    f = tmp_path / "s.csv"
+    f.write_bytes(text.encode())
+    lines = f.read_text().splitlines()
+    assert _loaded(load_series, f) == _loaded(backtest_module._load_rows, f, lines)
+
+
+def _count_loop_calls(monkeypatch):
+    calls = []
+    loop = backtest_module._load_rows
+
+    def spy(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(backtest_module, "_load_rows", spy)
+    return calls
+
+
+def test_load_series_parses_a_canonical_file_without_the_row_loop(tmp_path, monkeypatch):
+    calls = _count_loop_calls(monkeypatch)
+    f = tmp_path / "a.csv"
+    f.write_text("date,close\n2016-01-01,100.0\n2016-01-04, 1_000\n2016-01-05,99.25\n")
+    s = load_series(f)
+    assert calls == []
+    assert s.dates == (D("2016-01-01"), D("2016-01-04"), D("2016-01-05"))
+    np.testing.assert_array_equal(s.prices, [100.0, 1000.0, 99.25])
+
+
+def test_load_series_sends_quoted_and_rejected_files_to_the_row_loop(tmp_path, monkeypatch):
+    calls = _count_loop_calls(monkeypatch)
+    quoted = tmp_path / "q.csv"
+    quoted.write_text('date,close\n"2016-01-01","100"\n2016-01-02,101\n')
+    assert len(load_series(quoted)) == 2
+    assert len(calls) == 1
+    bad = tmp_path / "b.csv"
+    bad.write_text("date,close\n2016-01-01,100\n2016-01-02,-1\n")
+    with pytest.raises(DataError, match="row 3: price must be positive"):
+        load_series(bad)
+    assert len(calls) == 2
+    # the cells would line up if the file were split at every comma
+    shifted = tmp_path / "s.csv"
+    shifted.write_text("date,close\n2016-01-01\n100,2016-01-02,101\n")
+    with pytest.raises(DataError, match="row 2: expected 2 fields, got 1"):
+        load_series(shifted)
+    assert len(calls) == 3
+    # csv.reader refuses a field longer than its limit, so the bulk pass
+    # must not accept one either
+    padded = tmp_path / "p.csv"
+    padded.write_text(f"date,close\n2016-01-01,{' ' * csv.field_size_limit()}100\n")
+    with pytest.raises((csv.Error, DataError)):
+        load_series(padded)
+    assert len(calls) == 4
 
 
 def test_load_universe_sorted_and_skip_with_report(tmp_path):

@@ -399,6 +399,20 @@ def test_plotdata_gain_vs_k_requires_dynamics(capsys):
     capsys.readouterr()
 
 
+def test_plotdata_gain_vs_k_takes_the_grid_settings_of_every_command(tmp_path):
+    # sls_only only pins alpha and beta, so the k column and the output stay put
+    args = ["plotdata", "--kind", "gain-vs-k", "--mu", "0.1", "--sigma", "0.2"]
+    plain, flag, configured = (tmp_path / name for name in ("plain.csv", "flag.csv", "cfg.csv"))
+    config = tmp_path / "grid.cfg"
+    config.write_text("sls_only = true\ngrid_n = 4\n")
+    assert main([*args, "--grid-n", "4", "--out", str(plain)]) == 0
+    assert main([*args, "--grid-n", "4", "--sls-only", "--out", str(flag)]) == 0
+    assert main([*args, "--config", str(config), "--out", str(configured)]) == 0
+    assert len(_read_csv(plain)) == 5
+    assert flag.read_bytes() == plain.read_bytes()
+    assert configured.read_bytes() == plain.read_bytes()
+
+
 def _small_report(tmp_path):
     universe = _simulate(tmp_path, count=4, steps=60)
     out = tmp_path / "run"

@@ -268,6 +268,16 @@ def test_gain_variance_has_no_zero_times_infinity_nan():
         assert math.isfinite(gain_variance(one, gp, 1.0))
 
 
+def test_gain_variance_is_zero_at_zero_volatility_past_overflow():
+    # exp(2*k*mu*t) = exp(800) overflows, but every expm1 factor is exactly 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert gain_variance(ControlParams(1.0, 1.0), GbmParams(400.0, 0.0), 1.0) == 0.0
+        plain = _product_form_variance(_grid_points(), GbmParams(400.0, 0.0), 1.0)
+        v = gain_variance(_grid_points(), GbmParams(400.0, 0.0), 1.0)
+    assert not np.isfinite(plain).all()
+    np.testing.assert_array_equal(v, np.zeros(1000))
+
+
 def test_gain_variance_term_past_underflow_matches_high_precision():
     # exp(-2*k_s*mu*t) = exp(-750) underflows and expm1(k_s**2*sigma**2*t) =
     # expm1(1250) overflows, yet the short-book term c**2*e**500 dominates

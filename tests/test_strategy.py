@@ -250,6 +250,15 @@ def test_run_strategy_batched_paths_match_individual_runs():
         np.testing.assert_array_equal(batch.inv_net[i], single.inv_net)
 
 
+def test_final_gain_is_a_copy_that_does_not_pin_the_gain_array():
+    rng = np.random.default_rng(18)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, size=(4, 30)), axis=1))
+    trace = run_strategy(ControlParams(1.0, 1.5, alpha=0.8, beta=1.2), prices)
+    final = trace.final_gain
+    assert not np.shares_memory(final, trace.gain)
+    np.testing.assert_array_equal(final, trace.gain[:, -1])
+
+
 def test_run_strategy_times_argument():
     trace = run_strategy(ControlParams(1.0, 1.0), [1.0, 2.0], times=[0.0, 0.5])
     assert trace.times[-1] == 0.5

@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date
 from itertools import repeat
@@ -50,6 +52,7 @@ __all__ = [
     "report_to_dict",
     "run_fixed_strategy",
     "run_fixed_strategy_universe",
+    "write_csv",
     "write_daily_csv",
     "write_summary_csv",
 ]
@@ -154,7 +157,7 @@ def load_series(path) -> PriceSeries:
 
 def _load_rows(path: Path, lines: list[str]) -> PriceSeries:
     """The general parser: csv.reader and per-row checks over the lines."""
-    reader = csv.reader(lines)
+    reader = _csv_rows(path, lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -187,6 +190,15 @@ def _load_rows(path: Path, lines: list[str]) -> PriceSeries:
         return PriceSeries(path.stem, tuple(dates), np.array(prices))
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
+
+
+def _csv_rows(path: Path, lines: list[str]):
+    """csv.reader rows; a csv.Error, such as a field over the size limit, is a DataError."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {reader.line_num}: {exc}") from exc
 
 
 def load_universe(path, skip_errors: bool = False) -> tuple[list[PriceSeries], dict[str, str]]:
@@ -430,32 +442,23 @@ def report_to_dict(report: BacktestReport) -> dict:
     }
 
 
+def write_csv(header, rows, path) -> None:
+    """A header row, then rows, to the file at path or to stdout when path is None."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_daily_csv(report: BacktestReport, path) -> None:
     """day,mean,q025,q50,q975 rows, one per test-window day."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "mean", "q025", "q50", "q975"])
-        for day in range(report.n_days):
-            writer.writerow([
-                day,
-                str(float(report.day_mean[day])),
-                str(float(report.day_q025[day])),
-                str(float(report.day_q50[day])),
-                str(float(report.day_q975[day])),
-            ])
+    columns = (report.day_mean, report.day_q025, report.day_q50, report.day_q975)
+    write_csv(["day", "mean", "q025", "q50", "q975"],
+              zip(range(report.n_days), *(map(str, c.tolist()) for c in columns)), path)
 
 
 def write_summary_csv(rows, path) -> None:
     """strategy,q1,median,mean,q3,iqr rows from (label, GainSummary) pairs."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "q1", "median", "mean", "q3", "iqr"])
-        for label, summary in rows:
-            writer.writerow([
-                label,
-                str(float(summary.q1)),
-                str(float(summary.median)),
-                str(float(summary.mean)),
-                str(float(summary.q3)),
-                str(float(summary.iqr)),
-            ])
+    write_csv(["strategy", "q1", "median", "mean", "q3", "iqr"],
+              ((label, *(str(float(v)) for v in (s.q1, s.median, s.mean, s.q3, s.iqr)))
+               for label, s in rows), path)

@@ -1,9 +1,10 @@
 """Command-line front end: simulate, estimate, optimize, backtest, plotdata.
 
-Settings resolve flag > config file > built-in default.  The config file is
-flat ``key = value`` text whose keys mirror the long flag names ('#' starts
-a comment).  Every JSON output embeds the resolved settings and the library
-version; reruns with identical settings and seeds are byte-identical.
+Each subcommand's settings are one table of ``(key, type, default, help)``
+rows (``plotdata`` has one per ``--kind``), resolved flag > config file >
+default.  A row's flag is its key with '_' written as '-'; the config file is
+flat ``key = value`` text over the keys themselves ('#' starts a comment).
+Every JSON output embeds the resolved settings and the library version.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error.
 """
@@ -11,7 +12,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import date, timedelta
@@ -20,30 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import (
-    DEFAULT_DT,
-    DataError,
-    SplitSpec,
-    backtest_universe,
-    load_series,
-    load_universe,
-    report_to_dict,
-    run_fixed_strategy_universe,
-    write_daily_csv,
-    write_summary_csv,
-)
+from .backtest import (DEFAULT_DT, DataError, SplitSpec, backtest_universe, load_series,
+                       load_universe, report_to_dict, run_fixed_strategy_universe, write_csv,
+                       write_daily_csv, write_summary_csv)
 from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate_paths
-from .optimizer import (
-    DriftAdaptiveTarget,
-    FixedTarget,
-    GridSpec,
-    NoFiniteObjectiveError,
-    Objective,
-    grid_search,
-    policy_label,
-    trading_bias,
-    trading_mse,
-)
+from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
+                        Objective, grid_search, policy_label, trading_bias, trading_mse)
 from .strategy import ControlParams, gain_total_closed
 
 __all__ = ["main"]
@@ -53,12 +35,32 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-# config keys that differ from their argparse dest
-CONFIG_ALIASES = {"in": "in_path"}
-
 
 class UsageError(Exception):
     """Bad or missing settings; maps to exit code 2."""
+
+
+# Settings rows shared by several subcommands: (key, type, default, help).
+# A bool row is an on/off flag; a tuple type lists the accepted values.
+MU = ("mu", float, None, "annual drift")
+SIGMA = ("sigma", float, None, "annual volatility")
+DT = ("dt", float, DEFAULT_DT, "step size in years (default 1/252)")
+TRAIN_WINDOW = ("train_window", str, None, "estimation window YYYY-MM-DD:YYYY-MM-DD")
+HORIZON = ("horizon", float, 1.0, "horizon in years (default 1)")
+I0 = ("i0", float, 1.0, "initial long investment (default 1)")
+JOBS = ("jobs", int, 1, "accepted for compatibility; has no effect")
+OUT = ("out", str, None, "output file or directory")
+GRID = [
+    ("grid_min", float, 0.5, "smallest grid value (default 0.5)"),
+    ("grid_max", float, 5.0, "largest grid value (default 5.0)"),
+    ("grid_n", int, 10, "values per parameter (default 10)"),
+    ("sls_only", bool, False, "pin alpha = beta = 1 and search k only"),
+]
+TARGET = [
+    ("objective", tuple(o.value for o in Objective), None, "scoring rule"),
+    ("target_fixed", float, None, "fixed target gain"),
+    ("target_drift", float, None, "per-series target |mu_hat| + this margin"),
+]
 
 
 def _parse_bool(raw: str) -> bool:
@@ -72,12 +74,9 @@ def _parse_bool(raw: str) -> bool:
 
 def _parse_floats(raw: str, name: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in raw.split(","))
+        return tuple(float(part) for part in raw.split(","))
     except ValueError:
         raise UsageError(f"{name}: expected comma-separated numbers, got {raw!r}") from None
-    if not values:
-        raise UsageError(f"{name}: empty list")
-    return values
 
 
 def _parse_date(raw: str, name: str) -> date:
@@ -107,41 +106,41 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        key = key.strip().lower().replace("-", "_")
-        settings[CONFIG_ALIASES.get(key, key)] = value.strip()
+        settings[key.strip().lower().replace("-", "_")] = value.strip()
     return settings
 
 
-class _Resolver:
-    """Flag > config > default lookup that tracks which keys were consumed."""
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(args.config) if args.config else {}
-        self.consumed: set[str] = set()
 
-    def get(self, key: str, cast, default=None):
-        self.consumed.add(key)
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        if key in self.config:
-            try:
-                return cast(self.config[key])
-            except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from None
-        return default
-
-    def require(self, key: str, cast, flag: str):
-        value = self.get(key, cast)
-        if value is None:
-            raise UsageError(f"missing required setting {flag}")
+def _lookup(args: argparse.Namespace, config: dict[str, str], row):
+    """One row's value: the flag, else the cast config value, else the default."""
+    key, kind, default, _ = row
+    value = getattr(args, key)
+    if value is not None:
         return value
+    if key not in config:
+        return default
+    cast = _parse_bool if kind is bool else str if isinstance(kind, tuple) else kind
+    try:
+        return cast(config[key])
+    except ValueError as exc:
+        raise UsageError(f"config key {key}: {exc}") from None
 
-    def finish(self) -> None:
-        unknown = set(self.config) - self.consumed
-        if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+
+def _resolve(args: argparse.Namespace, config: dict[str, str], rows) -> dict:
+    """Every row's value by key; this dict is also the JSON ``config`` echo."""
+    unknown = set(config) - {row[0] for row in rows}
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return {row[0]: _lookup(args, config, row) for row in rows}
+
+
+def _need(s: dict, *keys: str) -> None:
+    for key in keys:
+        if s[key] is None:
+            raise UsageError(f"missing required setting {_flag(key)}")
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -153,43 +152,28 @@ def _write_json(payload: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _write_csv(header: list[str], rows, out: str | None) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(x) -> str:
     return str(float(x))
 
 
-def _resolve_grid(r: _Resolver) -> GridSpec:
-    lo = r.get("grid_min", float, 0.5)
-    hi = r.get("grid_max", float, 5.0)
-    n = r.get("grid_n", int, 10)
-    sls_only = bool(r.get("sls_only", _parse_bool, False))
-    return GridSpec.equally_spaced(lo, hi, n, sls_only=sls_only)
+def _grid(s: dict) -> GridSpec:
+    return GridSpec.equally_spaced(s["grid_min"], s["grid_max"], s["grid_n"],
+                                   sls_only=s["sls_only"])
 
 
-def _policy_from(fixed: float | None, drift: float | None):
+def _policy(s: dict):
+    fixed, drift = s["target_fixed"], s["target_drift"]
     if (fixed is None) == (drift is None):
         raise UsageError("give exactly one of --target-fixed or --target-drift")
     return FixedTarget(fixed) if fixed is not None else DriftAdaptiveTarget(drift)
 
 
-def _objective_from(name: str | None) -> Objective:
-    if name is None:
-        raise UsageError("missing required setting --objective")
+def _objective(s: dict) -> Objective:
+    _need(s, "objective")
     try:
-        return Objective(name)
+        return Objective(s["objective"])
     except ValueError:
-        raise UsageError(f"--objective must be 'bias' or 'mse', got {name!r}") from None
+        raise UsageError(f"--objective must be 'bias' or 'mse', got {s['objective']!r}") from None
 
 
 def _strategy_label(params: ControlParams) -> str:
@@ -209,197 +193,136 @@ def _estimate_from_file(in_path: str, window: str | None, dt: float):
         raise DataError(f"{series.symbol}: {exc}") from exc
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    mu = r.require("mu", float, "--mu")
-    sigma = r.require("sigma", float, "--sigma")
-    dt = r.get("dt", float, DEFAULT_DT)
-    steps = r.get("steps", int, 252)
-    count = r.get("count", int, 1)
-    seed = r.get("seed", int, 0)
-    p0 = r.get("p0", float, 100.0)
-    start = r.get("start", str, "2016-01-01")
-    out = r.require("out", str, "--out")
-    r.finish()
+SIMULATE = [
+    MU, SIGMA, DT,
+    ("steps", int, 252, "steps per series (default 252)"),
+    ("count", int, 1, "number of series (default 1)"),
+    ("seed", int, 0, "RNG seed (default 0)"),
+    ("p0", float, 100.0, "initial price (default 100)"),
+    ("start", str, "2016-01-01", "first observation date (default 2016-01-01)"),
+    OUT,
+]
 
-    start_day = _parse_date(start, "--start")
-    paths = simulate_paths(GbmParams(mu, sigma, dt), p0, steps, count, seed)
-    days = [start_day + timedelta(days=i) for i in range(steps + 1)]
-    out_dir = Path(out)
+
+def _cmd_simulate(s: dict) -> None:
+    _need(s, "mu", "sigma", "out")
+    start = _parse_date(s["start"], "--start")
+    gp = GbmParams(s["mu"], s["sigma"], s["dt"])
+    paths = simulate_paths(gp, s["p0"], s["steps"], s["count"], s["seed"])
+    days = [(start + timedelta(days=i)).isoformat() for i in range(s["steps"] + 1)]
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    width = max(4, len(str(count - 1)))
-    names = []
-    for i in range(count):
-        name = f"series_{i:0{width}d}.csv"
-        with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "close"])
-            writer.writerows(
-                (day.isoformat(), _fmt(price)) for day, price in zip(days, paths[i])
-            )
-        names.append(name)
-
-    config = {"mu": mu, "sigma": sigma, "dt": dt, "steps": steps, "count": count,
-              "seed": seed, "p0": p0, "start": start, "out": str(out)}
-    _write_json({"version": __version__, "config": config, "files": names},
+    width = max(4, len(str(s["count"] - 1)))
+    names = [f"series_{i:0{width}d}.csv" for i in range(s["count"])]
+    for name, path in zip(names, paths):
+        write_csv(["date", "close"], zip(days, map(_fmt, path)), out_dir / name)
+    _write_json({"version": __version__, "config": s, "files": names},
                 str(out_dir / "manifest.json"))
-    return EXIT_OK
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    in_path = r.require("in_path", str, "--in")
-    dt = r.get("dt", float, DEFAULT_DT)
-    window = r.get("train_window", str)
-    out = r.get("out", str)
-    r.finish()
-
-    series, gp = _estimate_from_file(in_path, window, dt)
-    config = {"in": in_path, "dt": dt, "train_window": window}
-    payload = {
-        "version": __version__,
-        "config": config,
-        "estimate": {"symbol": series.symbol, "n_obs": len(series),
-                     "mu": gp.mu, "sigma": gp.sigma, "dt": gp.dt},
-    }
-    _write_json(payload, out)
-    return EXIT_OK
+ESTIMATE = [("in", str, None, "input date,close CSV"), DT, TRAIN_WINDOW, OUT]
 
 
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    in_path = r.get("in_path", str)
-    mu = r.get("mu", float)
-    sigma = r.get("sigma", float)
-    dt = r.get("dt", float, DEFAULT_DT)
-    window = r.get("train_window", str)
-    horizon = r.get("horizon", float, 1.0)
-    i0 = r.get("i0", float, 1.0)
-    jobs = r.get("jobs", int, 1)
-    table = bool(r.get("table", _parse_bool, False))
-    grid = _resolve_grid(r)
-    objective = _objective_from(r.get("objective", str))
-    policy = _policy_from(r.get("target_fixed", float), r.get("target_drift", float))
-    out = r.get("out", str)
-    r.finish()
+def _cmd_estimate(s: dict) -> None:
+    _need(s, "in")
+    series, gp = _estimate_from_file(s["in"], s["train_window"], s["dt"])
+    estimate = {"symbol": series.symbol, "n_obs": len(series),
+                "mu": gp.mu, "sigma": gp.sigma, "dt": gp.dt}
+    _write_json({"version": __version__, "config": s, "estimate": estimate}, s["out"])
 
-    if in_path is not None and (mu is not None or sigma is not None):
+
+OPTIMIZE = [
+    ("in", str, None, "series CSV to estimate from (or give --mu and --sigma)"),
+    MU, SIGMA, DT, TRAIN_WINDOW, HORIZON, I0, JOBS,
+    ("table", bool, False, "emit the full grid evaluation table"),
+    *GRID, *TARGET, OUT,
+]
+
+
+def _cmd_optimize(s: dict) -> None:
+    grid = _grid(s)
+    objective = _objective(s)
+    policy = _policy(s)
+    if s["in"] is not None and (s["mu"] is not None or s["sigma"] is not None):
         raise UsageError("give either --in or explicit --mu/--sigma, not both")
-    if in_path is None:
-        if mu is None or sigma is None:
+    if s["in"] is None:
+        if s["mu"] is None or s["sigma"] is None:
             raise UsageError("need --in or both --mu and --sigma")
-        symbol = None
-        gp = GbmParams(mu, sigma, dt)
+        symbol, gp = None, GbmParams(s["mu"], s["sigma"], s["dt"])
     else:
-        series, gp = _estimate_from_file(in_path, window, dt)
+        series, gp = _estimate_from_file(s["in"], s["train_window"], s["dt"])
         symbol = series.symbol
-
     try:
-        result = grid_search(gp, horizon, policy, grid, objective,
-                             i0=i0, keep_table=table)
+        result = grid_search(gp, s["horizon"], policy, grid, objective,
+                             i0=s["i0"], keep_table=s["table"])
     except NoFiniteObjectiveError as exc:
         raise DataError(f"optimization failed: {exc}") from exc
-    config = {"in": in_path, "mu": mu, "sigma": sigma, "dt": dt,
-              "train_window": window, "horizon": horizon, "i0": i0, "jobs": jobs,
-              "grid_min": grid.k_values[0], "grid_max": grid.k_values[-1],
-              "grid_n": len(grid.k_values), "sls_only": grid.is_sls_only,
-              "objective": objective.value, "target": policy_label(policy)}
-    chosen = {
-        "symbol": symbol,
-        "mu": gp.mu,
-        "sigma": gp.sigma,
-        "k": result.params.k,
-        "alpha": result.params.alpha,
-        "beta": result.params.beta,
-        "i0": result.params.i0,
-        "objective": objective.value,
-        "objective_value": result.objective_value,
-        "target": result.target,
-    }
+    chosen = {"symbol": symbol, "mu": gp.mu, "sigma": gp.sigma, "k": result.params.k,
+              "alpha": result.params.alpha, "beta": result.params.beta, "i0": result.params.i0,
+              "objective": objective.value, "objective_value": result.objective_value,
+              "target": result.target}
     if result.table is not None:
         chosen["table"] = [list(row) for row in result.table]
-    _write_json({"version": __version__, "config": config, "result": chosen}, out)
-    return EXIT_OK
+    _write_json({"version": __version__, "config": s, "result": chosen}, s["out"])
 
 
-def _cmd_backtest(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    in_path = r.require("in_path", str, "--in")
-    out = r.require("out", str, "--out")
-    train_raw = r.require("train_window", str, "--train-window")
-    test_raw = r.require("test_window", str, "--test-window")
-    dt = r.get("dt", float, DEFAULT_DT)
-    horizon = r.get("horizon", float)
-    i0 = r.get("i0", float, 1.0)
-    jobs = r.get("jobs", int, 1)
-    skip = bool(r.get("skip_errors", _parse_bool, False))
-    truncate = bool(r.get("truncate", _parse_bool, False))
-    fixed_k = r.get("fixed_k", str)
-    fixed_alpha = r.get("fixed_alpha", float, 1.0)
-    fixed_beta = r.get("fixed_beta", float, 1.0)
-    objective_raw = r.get("objective", str)
-    fixed_target = r.get("target_fixed", float)
-    drift_target = r.get("target_drift", float)
-    grid = _resolve_grid(r)
-    r.finish()
+BACKTEST = [
+    ("in", str, None, "directory of date,close CSVs"), TRAIN_WINDOW,
+    ("test_window", str, None, "trading window YYYY-MM-DD:YYYY-MM-DD"), DT,
+    ("horizon", float, None, "optimization horizon in years (default: test window length)"),
+    I0, JOBS,
+    ("skip_errors", bool, False, "report bad series instead of aborting"),
+    ("truncate", bool, False, "clip all series to the shortest test trajectory"),
+    ("fixed_k", str, None, "skip optimization; sweep these fixed k values K1,K2,..."),
+    ("fixed_alpha", float, 1.0, "alpha for --fixed-k (default 1)"),
+    ("fixed_beta", float, 1.0, "beta for --fixed-k (default 1)"),
+    *GRID, *TARGET, OUT,
+]
 
-    train_window = _parse_window(train_raw, "--train-window")
-    test_window = _parse_window(test_raw, "--test-window")
-    split = SplitSpec(*train_window, *test_window)
-    in_dir = Path(in_path)
-    if not in_dir.is_dir():
-        raise UsageError(f"--in: not a directory: {in_path}")
-    if not any(in_dir.glob("*.csv")):
-        raise UsageError(f"--in: no CSV files in {in_path}")
-    universe, load_failures = load_universe(in_path, skip_errors=skip)
-    out_dir = Path(out)
+
+def _cmd_backtest(s: dict) -> None:
+    _need(s, "in", "out", "train_window", "test_window")
+    grid = _grid(s)
+    split = SplitSpec(*_parse_window(s["train_window"], "--train-window"),
+                      *_parse_window(s["test_window"], "--test-window"))
+    if not Path(s["in"]).is_dir():
+        raise UsageError(f"--in: not a directory: {s['in']}")
+    if not any(Path(s["in"]).glob("*.csv")):
+        raise UsageError(f"--in: no CSV files in {s['in']}")
+    skip, truncate = s["skip_errors"], s["truncate"]
+    universe, load_failures = load_universe(s["in"], skip_errors=skip)
+    out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    payload = {"version": __version__, "config": s, "load_failures": load_failures}
 
-    config = {"in": in_path, "out": out, "train_window": train_raw,
-              "test_window": test_raw, "dt": dt, "horizon": horizon, "i0": i0,
-              "jobs": jobs, "skip_errors": skip, "truncate": truncate,
-              "grid_min": grid.k_values[0], "grid_max": grid.k_values[-1],
-              "grid_n": len(grid.k_values), "sls_only": grid.is_sls_only,
-              "fixed_k": fixed_k, "fixed_alpha": fixed_alpha, "fixed_beta": fixed_beta,
-              "objective": objective_raw,
-              "target_fixed": fixed_target, "target_drift": drift_target}
-
-    if fixed_k is not None:
+    if s["fixed_k"] is not None:
         # fixed-parameter sweep: no estimation or optimization involved
-        if objective_raw is not None or fixed_target is not None or drift_target is not None:
+        if any(s[key] is not None for key in ("objective", "target_fixed", "target_drift")):
             raise UsageError("--fixed-k runs a parameter sweep; drop --objective/--target-* flags")
-        strategies = {}
-        summary_rows = []
-        for k in _parse_floats(fixed_k, "--fixed-k"):
-            params = ControlParams(i0, k, fixed_alpha, fixed_beta)
+        strategies, summary_rows = {}, []
+        for k in _parse_floats(s["fixed_k"], "--fixed-k"):
+            params = ControlParams(s["i0"], k, s["fixed_alpha"], s["fixed_beta"])
             label = _strategy_label(params)
             if label in strategies:
                 raise UsageError(f"duplicate strategy {label} in --fixed-k")
             report, failures = run_fixed_strategy_universe(
-                universe, params, test_window[0], test_window[1],
+                universe, params, split.test_start, split.test_end,
                 skip_errors=skip, truncate=truncate)
             strategies[label] = {"failures": failures, "report": report_to_dict(report)}
             summary_rows.append((label, report.summary))
             write_daily_csv(report, out_dir / f"daily_aggregate_{label}.csv")
-        write_summary_csv(summary_rows, out_dir / "summary.csv")
-        payload = {"version": __version__, "config": config,
-                   "load_failures": load_failures, "strategies": strategies}
-        _write_json(payload, str(out_dir / "report.json"))
-        return EXIT_OK
-
-    objective = _objective_from(objective_raw)
-    policy = _policy_from(fixed_target, drift_target)
-    report, failures = backtest_universe(
-        universe, split, policy, grid, objective, i0=i0, dt=dt,
-        horizon=horizon, skip_errors=skip, truncate=truncate)
-    label = f"{objective.value}_{policy_label(policy)}"
-    write_daily_csv(report, out_dir / "daily_aggregate.csv")
-    write_summary_csv([(label, report.summary)], out_dir / "summary.csv")
-    payload = {"version": __version__, "config": config,
-               "load_failures": load_failures, "failures": failures,
-               "report": report_to_dict(report)}
+        payload["strategies"] = strategies
+    else:
+        objective = _objective(s)
+        policy = _policy(s)
+        report, failures = backtest_universe(
+            universe, split, policy, grid, objective, i0=s["i0"], dt=s["dt"],
+            horizon=s["horizon"], skip_errors=skip, truncate=truncate)
+        summary_rows = [(f"{objective.value}_{policy_label(policy)}", report.summary)]
+        write_daily_csv(report, out_dir / "daily_aggregate.csv")
+        payload.update(failures=failures, report=report_to_dict(report))
+    write_summary_csv(summary_rows, out_dir / "summary.csv")
     _write_json(payload, str(out_dir / "report.json"))
-    return EXIT_OK
 
 
 def _read_report(in_path: str) -> dict:
@@ -417,125 +340,119 @@ def _read_report(in_path: str) -> dict:
     return body
 
 
-def _plot_density(r: _Resolver) -> None:
-    in_path = r.require("in_path", str, "--in")
-    bins = r.get("bins", int, 50)
-    out = r.get("out", str)
-    r.finish()
-    if bins < 1:
+REPORT = ("in", str, None, "backtest report JSON")
+SHAPE = [
+    ("alpha", float, 1.0, "short-side investment scale (default 1)"),
+    ("beta", float, 1.0, "short-side feedback scale (default 1)"), I0,
+]
+DENSITY = [REPORT, ("bins", int, 50, "histogram bins (default 50)"), OUT]
+
+
+def _plot_density(s: dict) -> None:
+    _need(s, "in")
+    if s["bins"] < 1:
         raise UsageError("--bins must be >= 1")
-    body = _read_report(in_path)
-    rows = body.get("series")
+    rows = _read_report(s["in"]).get("series")
     if not rows:
-        raise DataError(f"{in_path}: report contains no per-series gains")
+        raise DataError(f"{s['in']}: report contains no per-series gains")
     finals = np.array([row["final_gain"] for row in rows], dtype=float)
-    counts, edges = np.histogram(finals, bins=bins)
-    widths = np.diff(edges)
-    density = counts / (counts.sum() * widths)
-    out_rows = [
-        (_fmt(edges[i]), _fmt(edges[i + 1]), str(int(counts[i])), _fmt(density[i]))
-        for i in range(len(counts))
-    ]
-    _write_csv(["bin_left", "bin_right", "count", "density"], out_rows, out)
+    counts, edges = np.histogram(finals, bins=s["bins"])
+    density = counts / (counts.sum() * np.diff(edges))
+    out_rows = zip(map(_fmt, edges[:-1]), map(_fmt, edges[1:]), map(str, counts.tolist()),
+                   map(_fmt, density))
+    write_csv(["bin_left", "bin_right", "count", "density"], out_rows, s["out"])
 
 
-def _plot_daily(r: _Resolver) -> None:
-    in_path = r.require("in_path", str, "--in")
-    out = r.get("out", str)
-    r.finish()
-    daily = _read_report(in_path).get("daily")
+def _plot_daily(s: dict) -> None:
+    _need(s, "in")
+    daily = _read_report(s["in"]).get("daily")
     if not daily:
-        raise DataError(f"{in_path}: report contains no daily aggregates")
+        raise DataError(f"{s['in']}: report contains no daily aggregates")
     keys = ("mean", "q025", "q50", "q975")
-    out_rows = [
-        (str(day), *(_fmt(daily[key][day]) for key in keys))
-        for day in range(len(daily["mean"]))
-    ]
-    _write_csv(["day", "mean", "q025", "q50", "q975"], out_rows, out)
+    out_rows = [(str(day), *(_fmt(daily[key][day]) for key in keys))
+                for day in range(len(daily["mean"]))]
+    write_csv(["day", *keys], out_rows, s["out"])
 
 
-def _plot_gain_vs_q(r: _Resolver) -> None:
-    k_raw = r.require("k", str, "--k")
-    alpha = r.get("alpha", float, 1.0)
-    beta = r.get("beta", float, 1.0)
-    i0 = r.get("i0", float, 1.0)
-    q_min = r.get("q_min", float, 0.2)
-    q_max = r.get("q_max", float, 5.0)
-    q_n = r.get("q_n", int, 101)
-    out = r.get("out", str)
-    r.finish()
+GAIN_VS_Q = [
+    ("k", str, None, "comma-separated k values"), *SHAPE,
+    ("q_min", float, 0.2, "smallest price ratio (default 0.2)"),
+    ("q_max", float, 5.0, "largest price ratio (default 5.0)"),
+    ("q_n", int, 101, "ratio sample count (default 101)"),
+    OUT,
+]
+
+
+def _plot_gain_vs_q(s: dict) -> None:
+    _need(s, "k")
+    q_min, q_max = s["q_min"], s["q_max"]
     if not (0.0 < q_min <= q_max):
         raise UsageError(f"need 0 < --q-min <= --q-max, got {q_min}, {q_max}")
-    if q_n < 1:
+    if s["q_n"] < 1:
         raise UsageError("--q-n must be >= 1")
-    qs = np.linspace(q_min, q_max, q_n)
+    qs = np.linspace(q_min, q_max, s["q_n"])
     out_rows = []
-    for k in _parse_floats(k_raw, "--k"):
-        gains = gain_total_closed(ControlParams(i0, k, alpha, beta), qs)
+    for k in _parse_floats(s["k"], "--k"):
+        gains = gain_total_closed(ControlParams(s["i0"], k, s["alpha"], s["beta"]), qs)
         out_rows.extend((_fmt(k), _fmt(q), _fmt(g)) for q, g in zip(qs, gains))
-    _write_csv(["k", "q", "gain"], out_rows, out)
+    write_csv(["k", "q", "gain"], out_rows, s["out"])
 
 
-def _plot_gain_vs_k(r: _Resolver) -> None:
-    mu = r.require("mu", float, "--mu")
-    sigma = r.require("sigma", float, "--sigma")
-    dt = r.get("dt", float, DEFAULT_DT)
-    horizon = r.get("horizon", float, 1.0)
-    alpha = r.get("alpha", float, 1.0)
-    beta = r.get("beta", float, 1.0)
-    i0 = r.get("i0", float, 1.0)
-    target = r.get("target_fixed", float, 0.0)
-    grid = _resolve_grid(r)
-    out = r.get("out", str)
-    r.finish()
-    gp = GbmParams(mu, sigma, dt)
+GAIN_VS_K = [
+    MU, SIGMA, DT, HORIZON, *SHAPE,
+    ("target_fixed", float, 0.0, "target gain of the bias and mse columns (default 0)"),
+    *GRID, OUT,
+]
+
+
+def _plot_gain_vs_k(s: dict) -> None:
+    _need(s, "mu", "sigma")
+    grid = _grid(s)
+    gp = GbmParams(s["mu"], s["sigma"], s["dt"])
+    t, target = s["horizon"], s["target_fixed"]
     out_rows = []
     for k in grid.k_values:
-        cp = ControlParams(i0, k, alpha, beta)
-        out_rows.append((
-            _fmt(k),
-            _fmt(expected_gain(cp, gp, horizon)),
-            _fmt(gain_variance(cp, gp, horizon)),
-            _fmt(trading_bias(cp, gp, horizon, target)),
-            _fmt(trading_mse(cp, gp, horizon, target)),
-        ))
-    _write_csv(["k", "expected_gain", "gain_variance", "bias", "mse"], out_rows, out)
+        cp = ControlParams(s["i0"], k, s["alpha"], s["beta"])
+        values = (k, expected_gain(cp, gp, t), gain_variance(cp, gp, t),
+                  trading_bias(cp, gp, t, target), trading_mse(cp, gp, t, target))
+        out_rows.append(map(_fmt, values))
+    write_csv(["k", "expected_gain", "gain_variance", "bias", "mse"], out_rows, s["out"])
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> int:
-    r = _Resolver(args)
-    kind = r.require("kind", str, "--kind")
-    handlers = {
-        "density": _plot_density,
-        "daily": _plot_daily,
-        "gain-vs-q": _plot_gain_vs_q,
-        "gain-vs-k": _plot_gain_vs_k,
-    }
-    if kind not in handlers:
-        raise UsageError(f"--kind must be one of {sorted(handlers)}, got {kind!r}")
-    handlers[kind](r)
-    return EXIT_OK
+# plotdata kind -> (settings rows, command)
+PLOTS = {
+    "density": (DENSITY, _plot_density),
+    "daily": ([REPORT, OUT], _plot_daily),
+    "gain-vs-q": (GAIN_VS_Q, _plot_gain_vs_q),
+    "gain-vs-k": (GAIN_VS_K, _plot_gain_vs_k),
+}
+KIND = ("kind", tuple(PLOTS), None, "what to emit")
+# plotdata's parser takes every kind's flags; its rows and command are the chosen kind's
+PLOTDATA = list({row[0]: row for rows, _ in PLOTS.values() for row in [KIND, *rows]}.values())
+
+# subcommand -> (help, settings rows, command)
+COMMANDS = {
+    "simulate": ("write a universe of simulated GBM series", SIMULATE, _cmd_simulate),
+    "estimate": ("fit GBM drift and volatility to a series", ESTIMATE, _cmd_estimate),
+    "optimize": ("grid-search control parameters", OPTIMIZE, _cmd_optimize),
+    "backtest": ("estimate, optimize, and trade a universe", BACKTEST, _cmd_backtest),
+    "plotdata": ("emit plot-ready CSV data", PLOTDATA, None),
+}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--out", help="output file or directory")
-
-
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-min", type=float, help="smallest grid value (default 0.5)")
-    parser.add_argument("--grid-max", type=float, help="largest grid value (default 5.0)")
-    parser.add_argument("--grid-n", type=int, help="values per parameter (default 10)")
-    parser.add_argument("--sls-only", action="store_true", default=None,
-                        help="pin alpha = beta = 1 and search k only")
-
-
-def _add_target_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--objective", choices=["bias", "mse"], help="scoring rule")
-    parser.add_argument("--target-fixed", type=float, metavar="G",
-                        help="fixed target gain")
-    parser.add_argument("--target-drift", type=float, metavar="C",
-                        help="per-series target |mu_hat| + C")
+def _plot_kind(args: argparse.Namespace, config: dict[str, str]):
+    """The rows and command of the chosen --kind; another kind's flags are an error."""
+    kind = _lookup(args, config, KIND)
+    _need({"kind": kind}, "kind")
+    if kind not in PLOTS:
+        raise UsageError(f"--kind must be one of {sorted(PLOTS)}, got {kind!r}")
+    rows = [KIND, *PLOTS[kind][0]]
+    keys = {row[0] for row in rows} | {"command", "config"}
+    stray = [_flag(key) for key, value in vars(args).items()
+             if value is not None and key not in keys]
+    if stray:
+        raise UsageError(f"--kind {kind} takes no {', '.join(stray)}")
+    return rows, PLOTS[kind][1]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -545,109 +462,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="write a universe of simulated GBM series")
-    p.add_argument("--mu", type=float, help="annual drift")
-    p.add_argument("--sigma", type=float, help="annual volatility")
-    p.add_argument("--dt", type=float, help="step size in years (default 1/252)")
-    p.add_argument("--steps", type=int, help="steps per series (default 252)")
-    p.add_argument("--count", type=int, help="number of series (default 1)")
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--p0", type=float, help="initial price (default 100)")
-    p.add_argument("--start", help="first observation date (default 2016-01-01)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("estimate", help="fit GBM drift and volatility to a series")
-    p.add_argument("--in", dest="in_path", help="input date,close CSV")
-    p.add_argument("--dt", type=float, help="step size in years (default 1/252)")
-    p.add_argument("--train-window", help="YYYY-MM-DD:YYYY-MM-DD row filter")
-    _add_common(p)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("optimize", help="grid-search control parameters")
-    p.add_argument("--in", dest="in_path", help="series CSV to estimate from")
-    p.add_argument("--mu", type=float, help="explicit drift (skips estimation)")
-    p.add_argument("--sigma", type=float, help="explicit volatility (skips estimation)")
-    p.add_argument("--dt", type=float, help="step size in years (default 1/252)")
-    p.add_argument("--train-window", help="estimation row filter")
-    p.add_argument("--horizon", type=float, help="target horizon in years (default 1)")
-    p.add_argument("--i0", type=float, help="initial long investment (default 1)")
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
-    p.add_argument("--table", action="store_true", default=None,
-                   help="emit the full grid evaluation table")
-    _add_grid_flags(p)
-    _add_target_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("backtest", help="estimate, optimize, and trade a universe")
-    p.add_argument("--in", dest="in_path", help="directory of date,close CSVs")
-    p.add_argument("--train-window", help="estimation window YYYY-MM-DD:YYYY-MM-DD")
-    p.add_argument("--test-window", help="trading window YYYY-MM-DD:YYYY-MM-DD")
-    p.add_argument("--dt", type=float, help="step size in years (default 1/252)")
-    p.add_argument("--horizon", type=float,
-                   help="optimization horizon in years (default: test window length)")
-    p.add_argument("--i0", type=float, help="initial long investment (default 1)")
-    p.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
-    p.add_argument("--skip-errors", action="store_true", default=None,
-                   help="report bad series instead of aborting")
-    p.add_argument("--truncate", action="store_true", default=None,
-                   help="clip all series to the shortest test trajectory")
-    p.add_argument("--fixed-k", metavar="K1,K2,...",
-                   help="skip optimization; sweep these fixed k values")
-    p.add_argument("--fixed-alpha", type=float, help="alpha for --fixed-k (default 1)")
-    p.add_argument("--fixed-beta", type=float, help="beta for --fixed-k (default 1)")
-    _add_grid_flags(p)
-    _add_target_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_backtest)
-
-    p = sub.add_parser("plotdata", help="emit plot-ready CSV data")
-    p.add_argument("--kind", choices=["density", "daily", "gain-vs-q", "gain-vs-k"],
-                   help="what to emit")
-    p.add_argument("--in", dest="in_path", help="report JSON (density, daily)")
-    p.add_argument("--bins", type=int, help="histogram bins (default 50)")
-    p.add_argument("--k", help="comma-separated k values (gain-vs-q)")
-    p.add_argument("--alpha", type=float, help="short-side investment scale (default 1)")
-    p.add_argument("--beta", type=float, help="short-side feedback scale (default 1)")
-    p.add_argument("--i0", type=float, help="initial long investment (default 1)")
-    p.add_argument("--q-min", type=float, help="smallest price ratio (default 0.2)")
-    p.add_argument("--q-max", type=float, help="largest price ratio (default 5.0)")
-    p.add_argument("--q-n", type=int, help="ratio sample count (default 101)")
-    p.add_argument("--mu", type=float, help="drift (gain-vs-k)")
-    p.add_argument("--sigma", type=float, help="volatility (gain-vs-k)")
-    p.add_argument("--dt", type=float, help="step size in years (default 1/252)")
-    p.add_argument("--horizon", type=float, help="horizon in years (default 1)")
-    p.add_argument("--target-fixed", type=float, metavar="G",
-                   help="target gain for bias/mse columns (default 0)")
-    _add_grid_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_plotdata)
-
+    for name, (text, rows, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for key, kind, _, help_ in rows:
+            how = ({"action": "store_true", "default": None} if kind is bool
+                   else {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(_flag(key), help=help_, **how)
+        p.add_argument("--config", help="flat key = value settings file")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        config = _load_config(args.config) if args.config else {}
+        _, rows, command = COMMANDS[args.command]
+        if command is None:
+            rows, command = _plot_kind(args, config)
+        command(_resolve(args, config, rows))
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -251,6 +251,17 @@ def test_load_universe_sorted_and_skip_with_report(tmp_path):
     assert "row 2" in failures["c.csv"]
 
 
+def test_load_universe_skip_records_a_field_over_the_csv_size_limit(tmp_path):
+    (tmp_path / "a.csv").write_text("date,close\n2016-01-01,1\n2016-01-02,2\n")
+    (tmp_path / "big.csv").write_text(f"date,close\n2016-01-01,1{'0' * 150_000}\n")
+    with pytest.raises(DataError, match="row 2: field larger than field limit"):
+        load_universe(tmp_path)
+    series, failures = load_universe(tmp_path, skip_errors=True)
+    assert [s.symbol for s in series] == ["a"]
+    assert list(failures) == ["big.csv"]
+    assert "row 2: field larger than field limit" in failures["big.csv"]
+
+
 def test_load_universe_empty_directory(tmp_path):
     with pytest.raises(DataError, match="no CSV files"):
         load_universe(tmp_path)

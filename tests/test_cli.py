@@ -466,3 +466,30 @@ def test_plotdata_rejects_unknown_kind(capsys):
     assert main(["plotdata", "--kind", "sparkline"]) == 2
     assert main(["plotdata"]) == 2
     capsys.readouterr()
+
+
+def test_backtest_field_over_the_csv_size_limit_is_a_data_error(tmp_path, capsys):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    (universe / "zz_big.csv").write_text(f"date,close\n2016-01-01,1{'0' * 150_000}\n")
+    out = tmp_path / "run"
+    base = ["backtest", "--in", str(universe), "--out", str(out), *BACKTEST_WINDOWS,
+            "--objective", "bias", "--target-fixed", "0.15"]
+    assert main(base) == 3
+    assert "zz_big.csv: row 2: field larger than field limit" in capsys.readouterr().err
+    assert main([*base, "--skip-errors"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert list(doc["load_failures"]) == ["zz_big.csv"]
+
+
+def test_plotdata_rejects_the_flags_of_another_kind(tmp_path, capsys):
+    argv = ["plotdata", "--kind", "gain-vs-q", "--k", "1", "--out", str(tmp_path / "q.csv")]
+    assert main([*argv, "--bins", "5", "--mu", "3"]) == 2
+    assert "--kind gain-vs-q takes no --bins, --mu" in capsys.readouterr().err
+    assert main([*argv, "--sls-only"]) == 2
+    assert "--sls-only" in capsys.readouterr().err
+    config = tmp_path / "plot.cfg"
+    config.write_text("bins = 5\n")
+    assert main([*argv, "--config", str(config)]) == 2
+    assert "unknown config keys: bins" in capsys.readouterr().err
+    assert not (tmp_path / "q.csv").exists()
+    assert main(argv) == 0

@@ -5,108 +5,12 @@ geometric Brownian motion price analytics, target-tracking parameter
 search and a multi-series backtest pipeline.
 """
 
-from .backtest import (
-    BacktestReport,
-    DataError,
-    GainSummary,
-    PriceSeries,
-    SeriesResult,
-    SplitSpec,
-    aggregate,
-    backtest_one,
-    backtest_universe,
-    load_series,
-    load_universe,
-    report_to_dict,
-    run_fixed_strategy,
-    run_fixed_strategy_universe,
-    write_daily_csv,
-    write_summary_csv,
-)
-from .gbm import (
-    TRADING_DAYS_PER_YEAR,
-    GbmParams,
-    GbmPath,
-    estimate_mle,
-    expected_gain,
-    gain_variance,
-    simulate_path,
-    simulate_paths,
-)
-from .optimizer import (
-    DriftAdaptiveTarget,
-    FixedTarget,
-    GridSpec,
-    NoFiniteObjectiveError,
-    Objective,
-    OptimizationResult,
-    TargetPolicy,
-    grid_search,
-    policy_label,
-    resolve_target,
-    trading_bias,
-    trading_mse,
-)
-from .strategy import (
-    Beta1Roots,
-    ControlParams,
-    StrategyTrace,
-    beta1_roots,
-    feedback_gain_partials,
-    gain_long_closed,
-    gain_short_closed,
-    gain_total_closed,
-    positive_gain_condition,
-    run_strategy,
-)
+from . import backtest, gbm, optimizer, strategy
+from .backtest import *  # noqa: F403
+from .gbm import *  # noqa: F403
+from .optimizer import *  # noqa: F403
+from .strategy import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BacktestReport",
-    "Beta1Roots",
-    "ControlParams",
-    "DataError",
-    "DriftAdaptiveTarget",
-    "FixedTarget",
-    "GainSummary",
-    "GbmParams",
-    "GbmPath",
-    "GridSpec",
-    "NoFiniteObjectiveError",
-    "Objective",
-    "OptimizationResult",
-    "PriceSeries",
-    "SeriesResult",
-    "SplitSpec",
-    "StrategyTrace",
-    "TRADING_DAYS_PER_YEAR",
-    "TargetPolicy",
-    "aggregate",
-    "backtest_one",
-    "backtest_universe",
-    "beta1_roots",
-    "estimate_mle",
-    "expected_gain",
-    "feedback_gain_partials",
-    "gain_long_closed",
-    "gain_short_closed",
-    "gain_total_closed",
-    "gain_variance",
-    "grid_search",
-    "load_series",
-    "load_universe",
-    "policy_label",
-    "positive_gain_condition",
-    "report_to_dict",
-    "resolve_target",
-    "run_fixed_strategy",
-    "run_fixed_strategy_universe",
-    "run_strategy",
-    "simulate_path",
-    "simulate_paths",
-    "trading_bias",
-    "trading_mse",
-    "write_daily_csv",
-    "write_summary_csv",
-]
+__all__ = sorted({*backtest.__all__, *gbm.__all__, *optimizer.__all__, *strategy.__all__})

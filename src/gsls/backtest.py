@@ -21,7 +21,8 @@ from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date
-from itertools import repeat
+from functools import partial
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,14 @@ __all__ = [
     "report_to_dict",
     "run_fixed_strategy",
     "run_fixed_strategy_universe",
-    "write_csv",
     "write_daily_csv",
     "write_summary_csv",
 ]
 
 DEFAULT_DT = 1.0 / TRADING_DAYS_PER_YEAR
+# output names, in output order: BacktestReport.day_<name> columns and GainSummary fields
+DAILY_COLUMNS = ("mean", "q025", "q50", "q975")
+SUMMARY_COLUMNS = ("q1", "median", "mean", "q3", "iqr")
 
 
 class DataError(ValueError):
@@ -211,16 +214,20 @@ def load_universe(path, skip_errors: bool = False) -> tuple[list[PriceSeries], d
     files = sorted(root.glob("*.csv"))
     if not files:
         raise DataError(f"{root}: no CSV files found")
-    series: list[PriceSeries] = []
-    failures: dict[str, str] = {}
-    for f in files:
+    return _each(files, load_series, operator.attrgetter("name"), skip_errors)
+
+
+def _each(items, work, name, skip_errors: bool) -> tuple[list, dict[str, str]]:
+    """work(item) per item, in order, and {name(item): reason} per DataError under skip_errors."""
+    done, failures = [], {}
+    for item in items:
         try:
-            series.append(load_series(f))
+            done.append(work(item))
         except DataError as exc:
             if not skip_errors:
                 raise
-            failures[f.name] = str(exc)
-    return series, failures
+            failures[name(item)] = str(exc)
+    return done, failures
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,22 +301,23 @@ def aggregate(results, truncate: bool = False) -> BacktestReport:
     if not results:
         raise DataError("nothing to aggregate")
     lengths = {len(r.gains) for r in results}
-    if len(lengths) > 1:
-        if not truncate:
-            raise DataError(f"misaligned day counts {sorted(lengths)}; pass truncate to clip")
-        n = min(lengths)
-    else:
-        (n,) = lengths
-    matrix = np.stack([r.gains[:n] for r in results])
+    if len(lengths) > 1 and not truncate:
+        raise DataError(f"misaligned day counts {sorted(lengths)}; pass truncate to clip")
+    matrix = np.stack([r.gains[:min(lengths)] for r in results])
     q025, q50, q975 = np.quantile(matrix, [0.025, 0.5, 0.975], axis=0)
-    return BacktestReport(
-        results=results,
-        day_mean=matrix.mean(axis=0),
-        day_q025=q025,
-        day_q50=q50,
-        day_q975=q975,
-        summary=GainSummary.from_gains(matrix[:, -1]),
-    )
+    return BacktestReport(results, matrix.mean(axis=0), q025, q50, q975,
+                          GainSummary.from_gains(matrix[:, -1]))
+
+
+def _trade(series: PriceSeries, choose, *windows) -> SeriesResult:
+    """Cut every (name, start, end) window, check each has two observations, then trade
+    the last with the params of choose(*cuts), which also returns the estimation fields."""
+    cuts = [series.window(start, end) for _, start, end in windows]
+    for (name, _, _), cut in zip(windows, cuts):
+        if len(cut) < 2:
+            raise DataError(f"{series.symbol}: {name} window has {len(cut)} observation(s), need >= 2")
+    params, fields = choose(*cuts)
+    return SeriesResult(series.symbol, params, run_strategy(params, cuts[-1].prices).gain, **fields)
 
 
 def backtest_one(series: PriceSeries, split: SplitSpec, policy: TargetPolicy,
@@ -322,53 +330,35 @@ def backtest_one(series: PriceSeries, split: SplitSpec, policy: TargetPolicy,
     252-observation window optimizes for one year ahead.  jobs is accepted
     for compatibility and has no effect.
     """
-    train = series.window(split.train_start, split.train_end)
-    test = series.window(split.test_start, split.test_end)
-    for name, part in (("training", train), ("testing", test)):
-        if len(part) < 2:
-            raise DataError(f"{series.symbol}: {name} window has {len(part)} observation(s), need >= 2")
-    try:
-        gp = estimate_mle(train.prices, dt=dt)
-    except ValueError as exc:
-        raise DataError(f"{series.symbol}: estimation failed: {exc}") from exc
-    t = (len(test) - 1) * dt if horizon is None else horizon
-    try:
-        best = grid_search(gp, t, policy, grid, objective, i0=i0)
-    except NoFiniteObjectiveError as exc:
-        raise DataError(f"{series.symbol}: optimization failed: {exc}") from exc
-    trace = run_strategy(best.params, test.prices)
-    return SeriesResult(
-        symbol=series.symbol,
-        params=best.params,
-        gains=trace.gain,
-        target=best.target,
-        mu_hat=gp.mu,
-        sigma_hat=gp.sigma,
-        objective_value=best.objective_value,
-    )
+
+    def optimize(train, test):
+        try:
+            gp = estimate_mle(train.prices, dt=dt)
+        except ValueError as exc:
+            raise DataError(f"{series.symbol}: estimation failed: {exc}") from exc
+        t = (len(test) - 1) * dt if horizon is None else horizon
+        try:
+            best = grid_search(gp, t, policy, grid, objective, i0=i0)
+        except NoFiniteObjectiveError as exc:
+            raise DataError(f"{series.symbol}: optimization failed: {exc}") from exc
+        return best.params, dict(target=best.target, mu_hat=gp.mu, sigma_hat=gp.sigma,
+                                 objective_value=best.objective_value)
+
+    return _trade(series, optimize, ("training", split.train_start, split.train_end),
+                  ("testing", split.test_start, split.test_end))
 
 
 def run_fixed_strategy(series: PriceSeries, params: ControlParams,
                        start: date, end: date) -> SeriesResult:
     """Trade one series over [start, end] with fixed parameters."""
-    test = series.window(start, end)
-    if len(test) < 2:
-        raise DataError(f"{series.symbol}: testing window has {len(test)} observation(s), need >= 2")
-    trace = run_strategy(params, test.prices)
-    return SeriesResult(symbol=series.symbol, params=params, gains=trace.gain)
+    return _trade(series, lambda test: (params, {}), ("testing", start, end))
 
 
-def _run_batch(universe, worker, skip_errors: bool):
-    """Apply worker per series, in input order, collecting DataError rejects."""
-    results, failures = [], {}
-    for series in universe:
-        try:
-            results.append(worker(series))
-        except DataError as exc:
-            if not skip_errors:
-                raise
-            failures[series.symbol] = str(exc)
-    return results, failures
+def _run_batch(universe, worker, skip_errors: bool, truncate: bool):
+    """Apply worker per series in input order, then aggregate; DataError
+    rejects are collected by symbol under skip_errors."""
+    results, failures = _each(universe, worker, operator.attrgetter("symbol"), skip_errors)
+    return aggregate(results, truncate=truncate), failures
 
 
 def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
@@ -383,13 +373,9 @@ def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
     data problem are reported instead of fatal.  jobs is accepted for
     compatibility and has no effect.
     """
-
-    def worker(series):
-        return backtest_one(series, split, policy, grid, objective,
-                            i0=i0, dt=dt, horizon=horizon)
-
-    results, failures = _run_batch(universe, worker, skip_errors)
-    return aggregate(results, truncate=truncate), failures
+    return _run_batch(universe, partial(backtest_one, split=split, policy=policy, grid=grid,
+                                        objective=objective, i0=i0, dt=dt, horizon=horizon),
+                      skip_errors, truncate)
 
 
 def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
@@ -399,12 +385,8 @@ def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
 
     jobs is accepted for compatibility and has no effect.
     """
-
-    def worker(series):
-        return run_fixed_strategy(series, params, start, end)
-
-    results, failures = _run_batch(universe, worker, skip_errors)
-    return aggregate(results, truncate=truncate), failures
+    return _run_batch(universe, partial(run_fixed_strategy, params=params, start=start, end=end),
+                      skip_errors, truncate)
 
 
 def report_to_dict(report: BacktestReport) -> dict:
@@ -426,19 +408,8 @@ def report_to_dict(report: BacktestReport) -> dict:
             }
             for r in report.results
         ],
-        "daily": {
-            "mean": report.day_mean.tolist(),
-            "q025": report.day_q025.tolist(),
-            "q50": report.day_q50.tolist(),
-            "q975": report.day_q975.tolist(),
-        },
-        "summary": {
-            "q1": report.summary.q1,
-            "median": report.summary.median,
-            "mean": report.summary.mean,
-            "q3": report.summary.q3,
-            "iqr": report.summary.iqr,
-        },
+        "daily": dict(zip(DAILY_COLUMNS, _daily_lists(report))),
+        "summary": {name: getattr(report.summary, name) for name in SUMMARY_COLUMNS},
     }
 
 
@@ -450,15 +421,24 @@ def write_csv(header, rows, path) -> None:
         writer.writerows(rows)
 
 
+def _daily_lists(report: BacktestReport) -> list[list[float]]:
+    """The day_<name> columns as float lists, in DAILY_COLUMNS order."""
+    return [getattr(report, f"day_{name}").tolist() for name in DAILY_COLUMNS]
+
+
+def write_daily_columns(columns, path) -> None:
+    """day,mean,q025,q50,q975 rows from the four daily columns, sequences of numbers."""
+    write_csv(["day", *DAILY_COLUMNS],
+              zip(count(), *(map(str, map(float, c)) for c in columns)), path)
+
+
 def write_daily_csv(report: BacktestReport, path) -> None:
     """day,mean,q025,q50,q975 rows, one per test-window day."""
-    columns = (report.day_mean, report.day_q025, report.day_q50, report.day_q975)
-    write_csv(["day", "mean", "q025", "q50", "q975"],
-              zip(range(report.n_days), *(map(str, c.tolist()) for c in columns)), path)
+    write_daily_columns(_daily_lists(report), path)
 
 
 def write_summary_csv(rows, path) -> None:
     """strategy,q1,median,mean,q3,iqr rows from (label, GainSummary) pairs."""
-    write_csv(["strategy", "q1", "median", "mean", "q3", "iqr"],
-              ((label, *(str(float(v)) for v in (s.q1, s.median, s.mean, s.q3, s.iqr)))
+    write_csv(["strategy", *SUMMARY_COLUMNS],
+              ((label, *(str(float(getattr(s, name))) for name in SUMMARY_COLUMNS))
                for label, s in rows), path)

@@ -15,14 +15,15 @@ import argparse
 import json
 import sys
 from datetime import date, timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .backtest import (DEFAULT_DT, DataError, SplitSpec, backtest_universe, load_series,
-                       load_universe, report_to_dict, run_fixed_strategy_universe, write_csv,
-                       write_daily_csv, write_summary_csv)
+from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, backtest_universe,
+                       load_series, load_universe, report_to_dict, run_fixed_strategy_universe,
+                       write_csv, write_daily_columns, write_daily_csv, write_summary_csv)
 from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate_paths
 from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
                         Objective, grid_search, policy_label, trading_bias, trading_mse)
@@ -289,39 +290,37 @@ def _cmd_backtest(s: dict) -> None:
         raise UsageError(f"--in: not a directory: {s['in']}")
     if not any(Path(s["in"]).glob("*.csv")):
         raise UsageError(f"--in: no CSV files in {s['in']}")
-    skip, truncate = s["skip_errors"], s["truncate"]
-    universe, load_failures = load_universe(s["in"], skip_errors=skip)
-    out_dir = Path(s["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"version": __version__, "config": s, "load_failures": load_failures}
-
-    if s["fixed_k"] is not None:
-        # fixed-parameter sweep: no estimation or optimization involved
+    # label -> runner(universe, skip_errors=, truncate=), settled before any data is read;
+    # a --fixed-k sweep has one fixed-parameter runner per k and never optimizes
+    sweep, runners = s["fixed_k"] is not None, {}
+    if sweep:
         if any(s[key] is not None for key in ("objective", "target_fixed", "target_drift")):
             raise UsageError("--fixed-k runs a parameter sweep; drop --objective/--target-* flags")
-        strategies, summary_rows = {}, []
         for k in _parse_floats(s["fixed_k"], "--fixed-k"):
             params = ControlParams(s["i0"], k, s["fixed_alpha"], s["fixed_beta"])
             label = _strategy_label(params)
-            if label in strategies:
+            if label in runners:
                 raise UsageError(f"duplicate strategy {label} in --fixed-k")
-            report, failures = run_fixed_strategy_universe(
-                universe, params, split.test_start, split.test_end,
-                skip_errors=skip, truncate=truncate)
-            strategies[label] = {"failures": failures, "report": report_to_dict(report)}
-            summary_rows.append((label, report.summary))
-            write_daily_csv(report, out_dir / f"daily_aggregate_{label}.csv")
-        payload["strategies"] = strategies
+            runners[label] = partial(run_fixed_strategy_universe, params=params,
+                                     start=split.test_start, end=split.test_end)
     else:
-        objective = _objective(s)
-        policy = _policy(s)
-        report, failures = backtest_universe(
-            universe, split, policy, grid, objective, i0=s["i0"], dt=s["dt"],
-            horizon=s["horizon"], skip_errors=skip, truncate=truncate)
-        summary_rows = [(f"{objective.value}_{policy_label(policy)}", report.summary)]
-        write_daily_csv(report, out_dir / "daily_aggregate.csv")
-        payload.update(failures=failures, report=report_to_dict(report))
+        objective, policy = _objective(s), _policy(s)
+        runners[f"{objective.value}_{policy_label(policy)}"] = partial(
+            backtest_universe, split=split, policy=policy, grid=grid, objective=objective,
+            i0=s["i0"], dt=s["dt"], horizon=s["horizon"])
+    universe, load_failures = load_universe(s["in"], skip_errors=s["skip_errors"])
+    out_dir = Path(s["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs, summary_rows = {}, []
+    for label, runner in runners.items():
+        report, failures = runner(universe, skip_errors=s["skip_errors"], truncate=s["truncate"])
+        runs[label] = {"failures": failures, "report": report_to_dict(report)}
+        summary_rows.append((label, report.summary))
+        write_daily_csv(report, out_dir / (f"daily_aggregate_{label}.csv" if sweep
+                                           else "daily_aggregate.csv"))
     write_summary_csv(summary_rows, out_dir / "summary.csv")
+    payload = {"version": __version__, "config": s, "load_failures": load_failures}
+    payload.update({"strategies": runs} if sweep else next(iter(runs.values())))
     _write_json(payload, str(out_dir / "report.json"))
 
 
@@ -348,6 +347,15 @@ SHAPE = [
 DENSITY = [REPORT, ("bins", int, 50, "histogram bins (default 50)"), OUT]
 
 
+def _floats(values) -> list[float] | None:
+    """A JSON list of numbers (bools excluded) as floats; None for anything else."""
+    numeric = isinstance(values, list) and all(type(v) in (int, float) for v in values)
+    try:
+        return list(map(float, values)) if numeric else None
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
 def _plot_density(s: dict) -> None:
     _need(s, "in")
     if s["bins"] < 1:
@@ -355,7 +363,12 @@ def _plot_density(s: dict) -> None:
     rows = _read_report(s["in"]).get("series")
     if not rows:
         raise DataError(f"{s['in']}: report contains no per-series gains")
-    finals = np.array([row["final_gain"] for row in rows], dtype=float)
+    try:
+        finals = _floats([row["final_gain"] for row in rows])
+    except (KeyError, TypeError):
+        finals = None
+    if finals is None or not np.all(np.isfinite(finals)):
+        raise DataError(f"{s['in']}: every series row needs a finite numeric final_gain")
     counts, edges = np.histogram(finals, bins=s["bins"])
     density = counts / (counts.sum() * np.diff(edges))
     out_rows = zip(map(_fmt, edges[:-1]), map(_fmt, edges[1:]), map(str, counts.tolist()),
@@ -368,10 +381,12 @@ def _plot_daily(s: dict) -> None:
     daily = _read_report(s["in"]).get("daily")
     if not daily:
         raise DataError(f"{s['in']}: report contains no daily aggregates")
-    keys = ("mean", "q025", "q50", "q975")
-    out_rows = [(str(day), *(_fmt(daily[key][day]) for key in keys))
-                for day in range(len(daily["mean"]))]
-    write_csv(["day", *keys], out_rows, s["out"])
+    columns = [_floats(daily.get(key)) if isinstance(daily, dict) else None
+               for key in DAILY_COLUMNS]
+    if None in columns or len(set(map(len, columns))) != 1:
+        raise DataError(f"{s['in']}: daily {', '.join(DAILY_COLUMNS)} must be equal-length "
+                        "lists of numbers")
+    write_daily_columns(columns, s["out"])
 
 
 GAIN_VS_Q = [

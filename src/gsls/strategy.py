@@ -203,8 +203,8 @@ class StrategyTrace:
     run_strategy fills prices, the two investments and the total gain.
     gain_long, gain_short and inv_net are derived from the investments and
     params on first access, then cached on the instance, so a caller that
-    reads only gain never allocates them.  The constructor therefore takes
-    params and no longer takes those three arrays.
+    reads only gain never allocates them.  The constructor takes params in
+    place of those three arrays.
     """
 
     times: np.ndarray

@@ -542,3 +542,30 @@ def test_csv_writers(tmp_path):
     assert rows[0] == ["strategy", "q1", "median", "mean", "q3", "iqr"]
     assert rows[1][0] == "sls_k1"
     assert float(rows[1][3]) == 0.5
+
+
+def test_both_windows_are_cut_before_either_length_check():
+    # one training observation and none in the testing window: the empty
+    # testing window is reported, not the short training window
+    s = _series("lone", "2016-06-30", [5.0])
+    message = "lone: no observations in 2016-07-01..2016-12-31"
+    with pytest.raises(DataError) as err:
+        backtest_one(s, SPLIT, FixedTarget(0.15), GridSpec.default(), Objective.MSE)
+    assert str(err.value) == message
+    universe = [*_gbm_universe(2, 0.1, 0.2, 365, seed_tag=55), s]
+    report, failures = backtest_universe(universe, SPLIT, FixedTarget(0.15),
+                                         GridSpec.default(), Objective.MSE, skip_errors=True)
+    assert failures == {"lone": message}
+    assert [r.symbol for r in report.results] == ["s000", "s001"]
+
+
+def test_run_fixed_strategy_universe_records_a_short_window_like_run_fixed_strategy():
+    s = _series("short", "2016-12-31", [5.0, 6.0])
+    with pytest.raises(DataError) as err:
+        run_fixed_strategy(s, ControlParams(1.0, 1.0), SPLIT.test_start, SPLIT.test_end)
+    universe = [*_gbm_universe(2, 0.1, 0.2, 365, seed_tag=56), s]
+    report, failures = run_fixed_strategy_universe(
+        universe, ControlParams(1.0, 2.0), SPLIT.test_start, SPLIT.test_end, skip_errors=True)
+    assert failures == {"short": str(err.value)}
+    assert str(err.value) == "short: testing window has 1 observation(s), need >= 2"
+    assert len(report.results) == 2

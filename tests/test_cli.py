@@ -493,3 +493,92 @@ def test_plotdata_rejects_the_flags_of_another_kind(tmp_path, capsys):
     assert "unknown config keys: bins" in capsys.readouterr().err
     assert not (tmp_path / "q.csv").exists()
     assert main(argv) == 0
+
+
+def test_backtest_sweep_gives_a_short_series_the_same_failure_under_every_label(tmp_path):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    (universe / "aa_short.csv").write_text("date,close\n2016-01-04,10\n2016-02-10,11\n")
+    out = tmp_path / "sweep"
+    assert main(["backtest", "--in", str(universe), "--out", str(out), *BACKTEST_WINDOWS,
+                 "--fixed-k", "0.5,1,2", "--fixed-alpha", "0.7", "--skip-errors"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert sorted(doc["strategies"]) == ["gsls_k0.5_a0.7_b1", "gsls_k1_a0.7_b1",
+                                         "gsls_k2_a0.7_b1"]
+    expected = {"aa_short": "aa_short: testing window has 1 observation(s), need >= 2"}
+    for run in doc["strategies"].values():
+        assert run["failures"] == expected
+        assert len(run["report"]["series"]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fixed-k", "1,1"],
+    ["--fixed-k", "one"],
+    ["--fixed-k", "1,-1"],
+    ["--fixed-k", "1", "--objective", "mse"],
+    ["--target-fixed", "0.15"],
+    ["--objective", "mse"],
+])
+def test_backtest_checks_every_setting_before_reading_or_writing(tmp_path, extra, capsys):
+    # a usage error wins over the unreadable file, and --out is never created
+    universe = _simulate(tmp_path, count=2, steps=60)
+    (universe / "zz_bad.csv").write_text("date,close\n2016-01-01,-5\n")
+    out = tmp_path / "run"
+    assert main(["backtest", "--in", str(universe), "--out", str(out),
+                 *BACKTEST_WINDOWS, *extra]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plotdata_daily_writes_the_bytes_of_the_backtest_daily_csv(tmp_path):
+    report_path = _small_report(tmp_path)
+    out = tmp_path / "daily.csv"
+    assert main(["plotdata", "--kind", "daily", "--in", str(report_path),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (report_path.parent / "daily_aggregate.csv").read_bytes()
+
+
+def _plot_report(tmp_path, kind, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"report": body}))
+    return main(["plotdata", "--kind", kind, "--in", str(path), "--out",
+                 str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize("daily", [
+    {"mean": [0.0, 1.0], "q025": [0.0], "q50": [0.0, 1.0], "q975": [0.0, 1.0]},
+    {"mean": [0.0], "q025": [0.0], "q50": [0.0]},
+    {"mean": [0.0], "q025": [0.0], "q50": ["x"], "q975": [0.0]},
+    {"mean": [True], "q025": [0.0], "q50": [0.0], "q975": [0.0]},
+    {"mean": [None], "q025": [0.0], "q50": [0.0], "q975": [0.0]},
+    {"mean": 0.0, "q025": 0.0, "q50": 0.0, "q975": 0.0},
+    {"mean": [10 ** 400], "q025": [0.0], "q50": [0.0], "q975": [0.0]},
+    [[0.0, 1.0]],
+])
+def test_plotdata_daily_rejects_a_malformed_report(tmp_path, capsys, daily):
+    assert _plot_report(tmp_path, "daily", {"daily": daily}) == 3
+    assert "daily mean, q025, q50, q975 must be" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("series", [
+    [{"gain": 1}],
+    [{"final_gain": 0.5}, {"gain": 1}],
+    [{"final_gain": "x"}],
+    [{"final_gain": None}],
+    [{"final_gain": False}],
+    [{"final_gain": float("nan")}],
+    [0.5],
+    {"final_gain": 0.5},
+    "abc",
+])
+def test_plotdata_density_rejects_a_malformed_report(tmp_path, capsys, series):
+    assert _plot_report(tmp_path, "density", {"series": series}) == 3
+    assert "every series row needs a finite numeric final_gain" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_plotdata_readers_accept_integers(tmp_path):
+    assert _plot_report(tmp_path, "daily", {"daily": {
+        "mean": [0, 1], "q025": [0, 1], "q50": [0, 1], "q975": [0, 1]}}) == 0
+    assert _read_csv(tmp_path / "out.csv")[2] == ["1", "1.0", "1.0", "1.0", "1.0"]
+    assert _plot_report(tmp_path, "density", {"series": [{"final_gain": 1}]}) == 0

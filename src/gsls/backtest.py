@@ -389,25 +389,32 @@ def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
                       skip_errors, truncate)
 
 
-def report_to_dict(report: BacktestReport) -> dict:
-    """JSON-ready view of a report; arrays become plain lists."""
+def _series_row(r: SeriesResult) -> dict:
+    """One series' JSON-ready report row; its gains become a plain float list."""
     return {
-        "series": [
-            {
-                "symbol": r.symbol,
-                "i0": r.params.i0,
-                "k": r.params.k,
-                "alpha": r.params.alpha,
-                "beta": r.params.beta,
-                "target": r.target,
-                "mu_hat": r.mu_hat,
-                "sigma_hat": r.sigma_hat,
-                "objective_value": r.objective_value,
-                "final_gain": r.final_gain,
-                "gains": r.gains.tolist(),
-            }
-            for r in report.results
-        ],
+        "symbol": r.symbol,
+        "i0": r.params.i0,
+        "k": r.params.k,
+        "alpha": r.params.alpha,
+        "beta": r.params.beta,
+        "target": r.target,
+        "mu_hat": r.mu_hat,
+        "sigma_hat": r.sigma_hat,
+        "objective_value": r.objective_value,
+        "final_gain": r.final_gain,
+        "gains": r.gains.tolist(),
+    }
+
+
+def report_to_dict(report: BacktestReport, rows=list) -> dict:
+    """JSON-ready view of a report; arrays become plain lists.
+
+    rows receives an iterator of the per-series rows and returns the
+    "series" value: a list by default; rows=iter keeps it lazy, so each row
+    is built only when it is consumed.
+    """
+    return {
+        "series": rows(map(_series_row, report.results)),
         "daily": dict(zip(DAILY_COLUMNS, _daily_lists(report))),
         "summary": {name: getattr(report.summary, name) for name in SUMMARY_COLUMNS},
     }

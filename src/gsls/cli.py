@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -144,13 +145,52 @@ def _need(s: dict, *keys: str) -> None:
             raise UsageError(f"missing required setting {_flag(key)}")
 
 
-def _write_json(payload: dict, out: str | None) -> None:
-    # one line: CPython's C encoder runs only without indent
-    text = json.dumps(payload, sort_keys=True, default=str) + "\n"
-    if out is None:
-        sys.stdout.write(text)
+# one line: CPython's C encoder runs only without indent
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
+def _stream_json(value, write) -> None:
+    """write() the text of json.dumps(value, sort_keys=True, default=str) in pieces.
+
+    A dict goes key by key (keys must be str) and an iterator as a list item
+    by item, so an iterator's items exist one at a time; any other value is
+    one piece.
+    """
+    if isinstance(value, Iterator):
+        write("[")
+        for i, item in enumerate(value):
+            if i:
+                write(", ")
+            _stream_json(item, write)
+        write("]")
+    elif isinstance(value, dict):
+        write("{")
+        for i, key in enumerate(sorted(value)):
+            write((", " if i else "") + _ENCODER.encode(key) + ": ")
+            _stream_json(value[key], write)
+        write("}")
     else:
-        Path(out).write_text(text)
+        write(_ENCODER.encode(value))
+
+
+def _write_json(payload: dict, out: str | None) -> None:
+    """payload's JSON and a newline, streamed to stdout or to the file out.
+
+    A failed write removes out, unless out is a link or not a regular file.
+    """
+    if out is None:
+        _stream_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
+        return
+    with open(out, "w") as fh:
+        try:
+            _stream_json(payload, fh.write)
+            fh.write("\n")
+        except BaseException:
+            path = Path(out)
+            if path.is_file() and not path.is_symlink():
+                path.unlink()
+            raise
 
 
 def _fmt(x) -> str:
@@ -314,7 +354,8 @@ def _cmd_backtest(s: dict) -> None:
     runs, summary_rows = {}, []
     for label, runner in runners.items():
         report, failures = runner(universe, skip_errors=s["skip_errors"], truncate=s["truncate"])
-        runs[label] = {"failures": failures, "report": report_to_dict(report)}
+        # lazy rows: each series' gains become floats only while report.json is written
+        runs[label] = {"failures": failures, "report": report_to_dict(report, rows=iter)}
         summary_rows.append((label, report.summary))
         write_daily_csv(report, out_dir / (f"daily_aggregate_{label}.csv" if sweep
                                            else "daily_aggregate.csv"))
@@ -324,7 +365,9 @@ def _cmd_backtest(s: dict) -> None:
     _write_json(payload, str(out_dir / "report.json"))
 
 
-def _read_report(in_path: str) -> dict:
+def _read_report(s: dict) -> dict:
+    """The report of the backtest JSON at --in; a --fixed-k sweep needs --strategy."""
+    in_path, label = s["in"], s["strategy"]
     try:
         doc = json.loads(Path(in_path).read_text())
     except OSError as exc:
@@ -333,18 +376,31 @@ def _read_report(in_path: str) -> dict:
         raise DataError(f"{in_path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{in_path}: expected a JSON object")
-    body = doc.get("report", doc)
+    runs = doc.get("strategies")
+    if runs is None:
+        if label is not None:
+            raise UsageError(f"--strategy: {in_path} is not a --fixed-k sweep report")
+        body = doc.get("report", doc)
+    elif not isinstance(runs, dict) or not runs:
+        raise DataError(f"{in_path}: malformed strategies")
+    elif label not in runs:
+        given = "" if label is None else f"it holds no strategy {label!r}; "
+        raise UsageError(f"{in_path} is a --fixed-k sweep report; {given}pick --strategy from: "
+                         + ", ".join(runs))
+    else:
+        body = runs[label].get("report") if isinstance(runs[label], dict) else None
     if not isinstance(body, dict):
         raise DataError(f"{in_path}: malformed report")
     return body
 
 
-REPORT = ("in", str, None, "backtest report JSON")
+REPORT = [("in", str, None, "backtest report JSON"),
+          ("strategy", str, None, "label of the strategies entry to read from a --fixed-k sweep")]
 SHAPE = [
     ("alpha", float, 1.0, "short-side investment scale (default 1)"),
     ("beta", float, 1.0, "short-side feedback scale (default 1)"), I0,
 ]
-DENSITY = [REPORT, ("bins", int, 50, "histogram bins (default 50)"), OUT]
+DENSITY = [*REPORT, ("bins", int, 50, "histogram bins (default 50)"), OUT]
 
 
 def _floats(values) -> list[float] | None:
@@ -360,7 +416,7 @@ def _plot_density(s: dict) -> None:
     _need(s, "in")
     if s["bins"] < 1:
         raise UsageError("--bins must be >= 1")
-    rows = _read_report(s["in"]).get("series")
+    rows = _read_report(s).get("series")
     if not rows:
         raise DataError(f"{s['in']}: report contains no per-series gains")
     try:
@@ -378,7 +434,7 @@ def _plot_density(s: dict) -> None:
 
 def _plot_daily(s: dict) -> None:
     _need(s, "in")
-    daily = _read_report(s["in"]).get("daily")
+    daily = _read_report(s).get("daily")
     if not daily:
         raise DataError(f"{s['in']}: report contains no daily aggregates")
     columns = [_floats(daily.get(key)) if isinstance(daily, dict) else None
@@ -437,7 +493,7 @@ def _plot_gain_vs_k(s: dict) -> None:
 # plotdata kind -> (settings rows, command)
 PLOTS = {
     "density": (DENSITY, _plot_density),
-    "daily": ([REPORT, OUT], _plot_daily),
+    "daily": ([*REPORT, OUT], _plot_daily),
     "gain-vs-q": (GAIN_VS_Q, _plot_gain_vs_q),
     "gain-vs-k": (GAIN_VS_K, _plot_gain_vs_k),
 }

@@ -527,6 +527,18 @@ def test_report_to_dict_holds_the_gains_bit_for_bit():
         np.testing.assert_array_equal(np.array(values).view(np.uint64), array.view(np.uint64))
 
 
+def test_report_to_dict_lazy_rows_equal_the_default_list():
+    universe = _gbm_universe(3, 0.1, 0.2, 120, seed_tag=54)
+    report, _ = run_fixed_strategy_universe(universe, ControlParams(1.0, 2.0, 1.0, 1.0),
+                                            D("2016-03-02"), D("2016-04-30"))
+    doc = report_to_dict(report)
+    lazy = report_to_dict(report, rows=iter)
+    rows = lazy.pop("series")
+    assert iter(rows) is rows
+    assert lazy == {key: value for key, value in doc.items() if key != "series"}
+    assert list(rows) == doc["series"]
+
+
 def test_csv_writers(tmp_path):
     report = aggregate([_result("a", [0.0, 0.25]), _result("b", [0.0, 0.75])])
     daily = tmp_path / "daily.csv"

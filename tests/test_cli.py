@@ -582,3 +582,68 @@ def test_plotdata_readers_accept_integers(tmp_path):
         "mean": [0, 1], "q025": [0, 1], "q50": [0, 1], "q975": [0, 1]}}) == 0
     assert _read_csv(tmp_path / "out.csv")[2] == ["1", "1.0", "1.0", "1.0", "1.0"]
     assert _plot_report(tmp_path, "density", {"series": [{"final_gain": 1}]}) == 0
+
+
+def _sweep(tmp_path, ks="1,2", name="sweep"):
+    universe = tmp_path / "universe"
+    if not universe.exists():
+        _simulate(tmp_path, count=4, steps=60)
+    out = tmp_path / name
+    assert main(["backtest", "--in", str(universe), "--out", str(out),
+                 *BACKTEST_WINDOWS, "--fixed-k", ks]) == 0
+    return out
+
+
+@pytest.mark.parametrize("label", ["sls_k1", "sls_k2"])
+def test_plotdata_daily_strategy_writes_the_bytes_of_its_sweep_daily_csv(tmp_path, label):
+    sweep = _sweep(tmp_path)
+    out = tmp_path / "daily.csv"
+    assert main(["plotdata", "--kind", "daily", "--in", str(sweep / "report.json"),
+                 "--strategy", label, "--out", str(out)]) == 0
+    assert out.read_bytes() == (sweep / f"daily_aggregate_{label}.csv").read_bytes()
+
+
+def test_plotdata_density_strategy_reads_one_sweep_entry(tmp_path):
+    both, alone = _sweep(tmp_path, "1,2"), _sweep(tmp_path, "2", name="alone")
+    outs = [tmp_path / "both.csv", tmp_path / "alone.csv"]
+    for sweep, out in zip((both, alone), outs):
+        assert main(["plotdata", "--kind", "density", "--in", str(sweep / "report.json"),
+                     "--strategy", "sls_k2", "--bins", "3", "--out", str(out)]) == 0
+    assert sum(int(row[2]) for row in _read_csv(outs[0])[1:]) == 4
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["daily", "density"])
+@pytest.mark.parametrize("strategy, message", [
+    ([], "sweep/report.json is a --fixed-k sweep report; pick --strategy from: sls_k1, sls_k2"),
+    (["--strategy", "sls_k3"], "it holds no strategy 'sls_k3'; pick --strategy from: "
+                               "sls_k1, sls_k2"),
+], ids=["missing", "unknown"])
+def test_plotdata_sweep_report_needs_one_of_its_strategies(tmp_path, capsys, kind, strategy,
+                                                           message):
+    sweep = _sweep(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["plotdata", "--kind", kind, "--in", str(sweep / "report.json"), *strategy,
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plotdata_strategy_needs_a_sweep_report(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["plotdata", "--kind", "daily", "--in", str(_small_report(tmp_path)),
+                 "--strategy", "sls_k1", "--out", str(out)]) == 2
+    assert "is not a --fixed-k sweep report" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategies", [[], {}, "sls_k1", {"sls_k1": []},
+                                        {"sls_k1": {"report": [1.0]}}])
+def test_plotdata_rejects_malformed_strategies(tmp_path, capsys, strategies):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"strategies": strategies}))
+    out = tmp_path / "out.csv"
+    assert main(["plotdata", "--kind", "daily", "--in", str(path), "--strategy", "sls_k1",
+                 "--out", str(out)]) == 3
+    assert "data error: " in capsys.readouterr().err
+    assert not out.exists()

@@ -421,7 +421,10 @@ def report_to_dict(report: BacktestReport, rows=list) -> dict:
 
 
 def write_csv(header, rows, path) -> None:
-    """A header row, then rows, to the file at path or to stdout when path is None."""
+    """A header row, then rows, to the file at path or to stdout when path is None.
+
+    csv.writer writes a float as str(float); pass floats, not numpy scalars.
+    """
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -434,9 +437,8 @@ def _daily_lists(report: BacktestReport) -> list[list[float]]:
 
 
 def write_daily_columns(columns, path) -> None:
-    """day,mean,q025,q50,q975 rows from the four daily columns, sequences of numbers."""
-    write_csv(["day", *DAILY_COLUMNS],
-              zip(count(), *(map(str, map(float, c)) for c in columns)), path)
+    """day,mean,q025,q50,q975 rows from the four daily columns, sequences of floats."""
+    write_csv(["day", *DAILY_COLUMNS], zip(count(), *columns), path)
 
 
 def write_daily_csv(report: BacktestReport, path) -> None:
@@ -447,5 +449,4 @@ def write_daily_csv(report: BacktestReport, path) -> None:
 def write_summary_csv(rows, path) -> None:
     """strategy,q1,median,mean,q3,iqr rows from (label, GainSummary) pairs."""
     write_csv(["strategy", *SUMMARY_COLUMNS],
-              ((label, *(str(float(getattr(s, name))) for name in SUMMARY_COLUMNS))
-               for label, s in rows), path)
+              ((label, *(getattr(s, name) for name in SUMMARY_COLUMNS)) for label, s in rows), path)

@@ -27,7 +27,8 @@ from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, backtest
                        write_csv, write_daily_columns, write_daily_csv, write_summary_csv)
 from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate_paths
 from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
-                        Objective, grid_search, policy_label, trading_bias, trading_mse)
+                        Objective, _check_search_horizon, _GridPoints, grid_search,
+                        policy_label)
 from .strategy import ControlParams, gain_total_closed
 
 __all__ = ["main"]
@@ -126,9 +127,13 @@ def _lookup(args: argparse.Namespace, config: dict[str, str], row):
         return default
     cast = _parse_bool if kind is bool else str if isinstance(kind, tuple) else kind
     try:
-        return cast(config[key])
+        value = cast(config[key])
     except ValueError as exc:
         raise UsageError(f"config key {key}: {exc}") from None
+    if isinstance(kind, tuple) and value not in kind:
+        raise UsageError(f"config key {key}: invalid choice {value!r} "
+                         f"(choose from {', '.join(kind)})")
+    return value
 
 
 def _resolve(args: argparse.Namespace, config: dict[str, str], rows) -> dict:
@@ -193,8 +198,12 @@ def _write_json(payload: dict, out: str | None) -> None:
             raise
 
 
-def _fmt(x) -> str:
-    return str(float(x))
+def _check(s: dict) -> None:
+    """Check dt, i0 and horizon where s holds them, by their owners' rules, before any input."""
+    GbmParams(0.0, 0.0, s["dt"])
+    ControlParams(s.get("i0", 1.0), 1.0)
+    if s.get("horizon") is not None:
+        _check_search_horizon(s["horizon"])
 
 
 def _grid(s: dict) -> GridSpec:
@@ -211,10 +220,7 @@ def _policy(s: dict):
 
 def _objective(s: dict) -> Objective:
     _need(s, "objective")
-    try:
-        return Objective(s["objective"])
-    except ValueError:
-        raise UsageError(f"--objective must be 'bias' or 'mse', got {s['objective']!r}") from None
+    return Objective(s["objective"])
 
 
 def _strategy_label(params: ControlParams) -> str:
@@ -256,7 +262,7 @@ def _cmd_simulate(s: dict) -> None:
     width = max(4, len(str(s["count"] - 1)))
     names = [f"series_{i:0{width}d}.csv" for i in range(s["count"])]
     for name, path in zip(names, paths):
-        write_csv(["date", "close"], zip(days, map(_fmt, path)), out_dir / name)
+        write_csv(["date", "close"], zip(days, path.tolist()), out_dir / name)
     _write_json({"version": __version__, "config": s, "files": names},
                 str(out_dir / "manifest.json"))
 
@@ -266,6 +272,7 @@ ESTIMATE = [("in", str, None, "input date,close CSV"), DT, TRAIN_WINDOW, OUT]
 
 def _cmd_estimate(s: dict) -> None:
     _need(s, "in")
+    _check(s)
     series, gp = _estimate_from_file(s["in"], s["train_window"], s["dt"])
     estimate = {"symbol": series.symbol, "n_obs": len(series),
                 "mu": gp.mu, "sigma": gp.sigma, "dt": gp.dt}
@@ -281,6 +288,7 @@ OPTIMIZE = [
 
 
 def _cmd_optimize(s: dict) -> None:
+    _check(s)
     grid = _grid(s)
     objective = _objective(s)
     policy = _policy(s)
@@ -293,11 +301,8 @@ def _cmd_optimize(s: dict) -> None:
     else:
         series, gp = _estimate_from_file(s["in"], s["train_window"], s["dt"])
         symbol = series.symbol
-    try:
-        result = grid_search(gp, s["horizon"], policy, grid, objective,
-                             i0=s["i0"], keep_table=s["table"])
-    except NoFiniteObjectiveError as exc:
-        raise DataError(f"optimization failed: {exc}") from exc
+    result = grid_search(gp, s["horizon"], policy, grid, objective,
+                         i0=s["i0"], keep_table=s["table"])
     chosen = {"symbol": symbol, "mu": gp.mu, "sigma": gp.sigma, "k": result.params.k,
               "alpha": result.params.alpha, "beta": result.params.beta, "i0": result.params.i0,
               "objective": objective.value, "objective_value": result.objective_value,
@@ -323,6 +328,7 @@ BACKTEST = [
 
 def _cmd_backtest(s: dict) -> None:
     _need(s, "in", "out", "train_window", "test_window")
+    _check(s)
     grid = _grid(s)
     split = SplitSpec(*_parse_window(s["train_window"], "--train-window"),
                       *_parse_window(s["test_window"], "--test-window"))
@@ -427,8 +433,7 @@ def _plot_density(s: dict) -> None:
         raise DataError(f"{s['in']}: every series row needs a finite numeric final_gain")
     counts, edges = np.histogram(finals, bins=s["bins"])
     density = counts / (counts.sum() * np.diff(edges))
-    out_rows = zip(map(_fmt, edges[:-1]), map(_fmt, edges[1:]), map(str, counts.tolist()),
-                   map(_fmt, density))
+    out_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist())
     write_csv(["bin_left", "bin_right", "count", "density"], out_rows, s["out"])
 
 
@@ -465,7 +470,7 @@ def _plot_gain_vs_q(s: dict) -> None:
     out_rows = []
     for k in _parse_floats(s["k"], "--k"):
         gains = gain_total_closed(ControlParams(s["i0"], k, s["alpha"], s["beta"]), qs)
-        out_rows.extend((_fmt(k), _fmt(q), _fmt(g)) for q, g in zip(qs, gains))
+        out_rows.extend((k, q, g) for q, g in zip(qs.tolist(), gains.tolist()))
     write_csv(["k", "q", "gain"], out_rows, s["out"])
 
 
@@ -480,14 +485,14 @@ def _plot_gain_vs_k(s: dict) -> None:
     _need(s, "mu", "sigma")
     grid = _grid(s)
     gp = GbmParams(s["mu"], s["sigma"], s["dt"])
-    t, target = s["horizon"], s["target_fixed"]
-    out_rows = []
-    for k in grid.k_values:
-        cp = ControlParams(s["i0"], k, s["alpha"], s["beta"])
-        values = (k, expected_gain(cp, gp, t), gain_variance(cp, gp, t),
-                  trading_bias(cp, gp, t, target), trading_mse(cp, gp, t, target))
-        out_rows.append(map(_fmt, values))
-    write_csv(["k", "expected_gain", "gain_variance", "bias", "mse"], out_rows, s["out"])
+    t, k = s["horizon"], np.array(grid.k_values)
+    ControlParams(s["i0"], k[0], s["alpha"], s["beta"])  # a bad i0, alpha or beta fails here
+    # the k axis, scored in one evaluation as grid_search scores a grid
+    points = _GridPoints(s["i0"], k, np.full_like(k, s["alpha"]), np.full_like(k, s["beta"]))
+    mean, var = expected_gain(points, gp, t), gain_variance(points, gp, t)
+    bias = mean - s["target_fixed"]
+    write_csv(["k", "expected_gain", "gain_variance", "bias", "mse"],
+              zip(*(c.tolist() for c in (k, mean, var, bias, bias * bias + var))), s["out"])
 
 
 # plotdata kind -> (settings rows, command)
@@ -515,8 +520,6 @@ def _plot_kind(args: argparse.Namespace, config: dict[str, str]):
     """The rows and command of the chosen --kind; another kind's flags are an error."""
     kind = _lookup(args, config, KIND)
     _need({"kind": kind}, "kind")
-    if kind not in PLOTS:
-        raise UsageError(f"--kind must be one of {sorted(PLOTS)}, got {kind!r}")
     rows = [KIND, *PLOTS[kind][0]]
     keys = {row[0] for row in rows} | {"command", "config"}
     stray = [_flag(key) for key, value in vars(args).items()
@@ -554,7 +557,7 @@ def main(argv=None) -> int:
         if command is None:
             rows, command = _plot_kind(args, config)
         command(_resolve(args, config, rows))
-    except DataError as exc:
+    except (DataError, NoFiniteObjectiveError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (UsageError, ValueError) as exc:

@@ -173,8 +173,12 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
 
     The last term is twice the long-short covariance scaled by c; it is
     non-positive because the books hedge each other.  The variance is zero
-    iff sigma == 0 or t == 0.  cp may carry arrays of gains; the square is
-    np.square so that a scalar and an array round it the same way.
+    iff sigma == 0 or t == 0.  Where a factor of the product form overflows,
+    it reads inf, or inf - inf when a book's term meets the covariance; those
+    entries alone are summed in log space, so only a true overflow stays
+    non-finite, as +inf.
+    cp may carry arrays of gains; the square is np.square so that a scalar
+    and an array round it the same way.
     """
     _check_horizon(t)
     k = cp.k
@@ -182,7 +186,21 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     c = cp.alpha / cp.beta
     m = gp.mu
     s2 = gp.sigma * gp.sigma
-    var_long = _variance_term(1.0, 2.0 * k * m * t, k * k * s2 * t)
-    var_short = _variance_term(c * c, -2.0 * ks * m * t, ks * ks * s2 * t)
-    cov = _variance_term(c, (k - ks) * m * t, -(k * ks) * s2 * t)
-    return np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)
+    # (scale, a, b) of the long term, the short term and the covariance
+    terms = [(1.0, 2.0 * k * m * t, k * k * s2 * t),
+             (c * c, -2.0 * ks * m * t, ks * ks * s2 * t),
+             (c, (k - ks) * m * t, -(k * ks) * s2 * t)]
+    var_long, var_short, cov = (_variance_term(*term) for term in terms)
+    var = np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)
+    bad = ~np.isfinite(var)
+    if bad.any():
+        # a term overflowed (inf, or inf - inf against the covariance); there,
+        # sum the terms scaled by the largest, whose logs do not overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # ln|w * scale * e**a * (e**b - 1)| with the sum's weights w = 1, 1, -2
+            logs = [np.log(w * scale) + a + np.maximum(b, 0.0) + np.log(-np.expm1(-np.abs(b)))
+                    for w, (scale, a, b) in zip((1.0, 1.0, 2.0), terms)]
+            top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
+            rel = np.exp(logs[0] - top) + np.exp(logs[1] - top) - np.exp(logs[2] - top)
+            var = np.where(bad, np.exp(2.0 * np.log(cp.i0 / k) + top + np.log(rel)), var)[()]
+    return var

@@ -194,6 +194,12 @@ def _objective_value(cp: ControlParams | _GridPoints, gp: GbmParams, t: float,
     return b * b
 
 
+def _check_search_horizon(t: float) -> None:
+    """grid_search's horizon rule, which the CLI also applies before it reads any input."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"horizon t must be positive and finite, got {t!r}")
+
+
 def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
                 objective: Objective, i0: float = 1.0, jobs: int = 1,
                 keep_table: bool = False) -> OptimizationResult:
@@ -206,8 +212,7 @@ def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
     e^(mu*t) underflows to 0, where no point can be scored.  jobs is
     accepted for compatibility and has no effect.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"horizon t must be positive and finite, got {t!r}")
+    _check_search_horizon(t)
     # a bad i0 fails here with its own message, not as a grid of NaN
     ControlParams(i0, grid.k_values[0], grid.alpha_values[0], grid.beta_values[0])
     target = resolve_target(policy, gp)

@@ -556,6 +556,22 @@ def test_csv_writers(tmp_path):
     assert float(rows[1][3]) == 0.5
 
 
+def test_write_csv_writes_every_float_as_its_str(tmp_path):
+    # the CSV writers pass plain floats and rely on csv.writer writing str(float)
+    rng = np.random.default_rng(12)
+    bits = rng.integers(0, 2**64, 20000, dtype=np.uint64, endpoint=False)
+    info = np.finfo(float)
+    values = [*bits.view(float).tolist(), *rng.standard_normal(1000).tolist(),
+              0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+              float(info.smallest_normal), float(info.smallest_normal) / 3.0, float(info.max),
+              float(-info.max), float(info.eps), 0.1, 1e16, 1e-7, 123456789012345680.0]
+    path = tmp_path / "floats.csv"
+    backtest_module.write_csv(["x", "y"], ((v, -v) for v in values), path)
+    lines = path.read_bytes().decode().split("\r\n")
+    assert lines[0] == "x,y" and lines[-1] == ""
+    assert lines[1:-1] == [f"{v!s},{-v!s}" for v in values]
+
+
 def test_both_windows_are_cut_before_either_length_check():
     # one training observation and none in the testing window: the empty
     # testing window is reported, not the short training window

@@ -529,6 +529,56 @@ def test_backtest_checks_every_setting_before_reading_or_writing(tmp_path, extra
     assert not out.exists()
 
 
+OPTIMIZED = ["--objective", "mse", "--target-fixed", "0.15"]
+
+
+@pytest.mark.parametrize("command, extra, setting", [
+    ("backtest", ["--horizon", "-1"], "horizon"),
+    ("backtest", ["--horizon", "nan"], "horizon"),
+    ("backtest", ["--i0", "-1"], "i0"),
+    ("backtest", ["--dt", "0"], "dt"),
+    ("backtest", ["--fixed-k", "1", "--dt", "0"], "dt"),
+    ("estimate", ["--dt", "0"], "dt"),
+    ("optimize", ["--dt", "0"], "dt"),
+    ("optimize", ["--horizon", "-1"], "horizon"),
+    ("optimize", ["--i0", "-1"], "i0"),
+])
+@pytest.mark.parametrize("bad_file", [False, True])
+def test_a_bad_setting_exits_2_before_any_input_is_read(tmp_path, capsys, command, extra,
+                                                         setting, bad_file):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    if bad_file:
+        (universe / "zz_bad.csv").write_text("date,close\n2016-01-01,-5\n")
+    out = tmp_path / "out"
+    if command == "backtest":
+        argv = ["backtest", "--in", str(universe), *BACKTEST_WINDOWS]
+        argv += [] if "--fixed-k" in extra else OPTIMIZED
+    else:
+        argv = [command, "--in", str(universe / ("zz_bad.csv" if bad_file else "series_0000.csv"))]
+        argv += OPTIMIZED if command == "optimize" else []
+    assert main([*argv, *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {setting} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, line", [
+    (["optimize", "--mu", "0.1", "--sigma", "0.2", "--target-fixed", "0.15"], "objective",
+     "error: config key objective: invalid choice 'rmse' (choose from bias, mse)"),
+    (["plotdata"], "kind", "error: config key kind: invalid choice 'rmse' "
+                           "(choose from density, daily, gain-vs-q, gain-vs-k)"),
+])
+def test_a_config_choice_is_checked_like_its_flag(tmp_path, capsys, argv, key, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = rmse\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_optimize_no_finite_objective_is_reported_by_main(capsys):
+    assert main(["optimize", "--mu", "400", "--sigma", "50", *OPTIMIZED]) == 3
+    assert capsys.readouterr().err == "data error: no grid point has a finite objective value\n"
+
+
 def test_plotdata_daily_writes_the_bytes_of_the_backtest_daily_csv(tmp_path):
     report_path = _small_report(tmp_path)
     out = tmp_path / "daily.csv"

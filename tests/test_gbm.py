@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsls import (
     ControlParams,
@@ -310,3 +312,67 @@ def test_gain_variance_keeps_every_finite_product_form_value():
         finite = np.isfinite(plain)
         np.testing.assert_array_equal(v[finite], plain[finite])
         assert not (np.isnan(v) & ~np.isnan(plain)).any()
+
+
+def _decimal_variance(cp, gp, t, digits=80):
+    """gain_variance's product form in `digits`-digit decimal arithmetic."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = digits, 10**9, -10**9
+        k, ks, c = Decimal(cp.k), Decimal(cp.k_short), Decimal(cp.alpha) / Decimal(cp.beta)
+        m, s2, t_ = Decimal(gp.mu), Decimal(gp.sigma) ** 2, Decimal(t)
+        return (Decimal(cp.i0) / k) ** 2 * (
+            (2 * k * m * t_).exp() * ((k * k * s2 * t_).exp() - 1)
+            + c * c * (-2 * ks * m * t_).exp() * ((ks * ks * s2 * t_).exp() - 1)
+            + 2 * c * ((k - ks) * m * t_).exp() * ((-k * ks * s2 * t_).exp() - 1))
+
+
+def test_gain_variance_past_the_float_range_is_inf_not_nan():
+    # at (-60, 3) the short-book term overflows to +inf and the covariance to
+    # -inf on 130 of the default grid's 1000 points, so the product form reads
+    # inf - inf; an 80-digit reference puts all 130 above the float range
+    from decimal import Decimal
+
+    cp, gp = _grid_points(), GbmParams(-60.0, 3.0)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        plain = _product_form_variance(cp, gp, 1.0)
+        v = gain_variance(cp, gp, 1.0)
+    nan = np.isnan(plain)
+    assert nan.sum() == 130
+    assert not np.isnan(v).any()
+    np.testing.assert_array_equal(v[nan], np.inf)
+    largest = Decimal(np.finfo(float).max)
+    for i in np.flatnonzero(nan):
+        point = ControlParams(1.0, cp.k[i], cp.alpha[i], cp.beta[i])
+        assert _decimal_variance(point, gp, 1.0) > largest
+    # the scalar API gives the grid's value
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert gain_variance(ControlParams(1.0, 3.0, 0.5, 5.0), gp, 1.0) == np.inf
+
+
+def test_gain_variance_where_only_a_factor_overflows_is_finite():
+    # e**(2*k*mu*t) = e**710 overflows, but times expm1(0.01) the long-book
+    # term is about e**705.4, inside the float range
+    cp, gp = ControlParams(1.0, 1.0), GbmParams(355.0, 0.1)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert np.isinf(_product_form_variance(cp, gp, 1.0))
+        v = gain_variance(cp, gp, 1.0)
+    assert v == pytest.approx(float(_decimal_variance(cp, gp, 1.0)), rel=1e-11)
+
+
+EXTREME_GAIN = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mu=st.floats(-1e3, 1e3), sigma=st.floats(0.0, 50.0), t=st.floats(0.0, 100.0),
+       k=EXTREME_GAIN, alpha=EXTREME_GAIN, beta=EXTREME_GAIN)
+def test_gain_moments_raise_or_are_never_nan(mu, sigma, t, k, alpha, beta):
+    cp, gp = ControlParams(1.0, k, alpha, beta), GbmParams(mu, sigma)
+    for moment in (expected_gain, gain_variance):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+            try:
+                value = moment(cp, gp, t)
+            except ValueError:  # e**(mu*t) underflows to 0: the mean is undefined
+                continue
+        assert not math.isnan(value)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
 from collections.abc import Iterator
 from datetime import date, timedelta
@@ -154,14 +156,28 @@ def _need(s: dict, *keys: str) -> None:
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
-def _stream_json(value, write) -> None:
+def _cpus() -> int:
+    """Processes that encode a lazy list: the CPUs this process may run on, 1 without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _stream_json(value, write, stripes: int = 1) -> None:
     """write() the text of json.dumps(value, sort_keys=True, default=str) in pieces.
 
     A dict goes key by key (keys must be str) and an iterator as a list item
     by item, so an iterator's items exist one at a time; any other value is
-    one piece.
+    one piece.  With stripes > 1, an iterator that is not an item of another
+    one has its items encoded by that many processes (see _stream_striped).
     """
     if isinstance(value, Iterator):
+        if stripes > 1:
+            _stream_striped(value, write, stripes)
+            return
         write("[")
         for i, item in enumerate(value):
             if i:
@@ -172,10 +188,85 @@ def _stream_json(value, write) -> None:
         write("{")
         for i, key in enumerate(sorted(value)):
             write((", " if i else "") + _ENCODER.encode(key) + ": ")
-            _stream_json(value[key], write)
+            _stream_json(value[key], write, stripes)
         write("}")
     else:
         write(_ENCODER.encode(value))
+
+
+def _stream_striped(items: Iterator, write, stripes: int) -> None:
+    """_stream_json's list of items, with item i encoded by stripe i % stripes.
+
+    Stripe 0 is this process.  Stripe j > 0 is a forked child that walks its
+    own copy of items and sends the text of items j, j + stripes, ... through
+    its own pipe, so this process writes every item in order and holds about
+    one item per pipe.  Every child is reaped on every way out.
+    """
+    import multiprocessing
+
+    # fork, whatever the platform's default: a child inherits items, which cannot be pickled
+    fork = multiprocessing.get_context("fork")
+    sys.stdout.flush()  # a child flushes both streams as it exits
+    sys.stderr.flush()
+    children = []
+    try:
+        for stripe in range(1, stripes):
+            recv, send = fork.Pipe(duplex=False)
+            with send:
+                child = fork.Process(target=_encode_stripe, args=(items, stripe, stripes, send))
+                child.start()
+            children.append((child, recv))
+        write("[")
+        for i, item in enumerate(items):
+            if i:
+                write(", ")
+            if i % stripes:
+                write(_receive(*children[i % stripes - 1], last=False))
+            else:
+                _stream_json(item, write)
+        for child in children:
+            _receive(*child, last=True)
+        write("]")
+    finally:
+        for child, recv in children:
+            child.kill()
+            child.join()
+            child.close()
+            recv.close()
+
+
+def _encode_stripe(items: Iterator, stripe: int, stripes: int, send) -> None:
+    """A stripe's child: send the text of items stripe, stripe + stripes, ..., then None.
+
+    An exception goes to the parent in place of the next item.  The parent
+    alone handles an interrupt, and kills this child.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for i, item in enumerate(items):
+            if i % stripes == stripe:
+                pieces = []
+                _stream_json(item, pieces.append)
+                send.send("".join(pieces))
+    except Exception as exc:
+        send.send(exc)
+    else:
+        send.send(None)
+
+
+def _receive(child, recv, last: bool) -> str | None:
+    """A stripe's next item text, or its end mark when last; raises what the child raised."""
+    try:
+        message = recv.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(f"report encoder process exited with code {child.exitcode}") \
+            from None
+    if isinstance(message, BaseException):
+        raise message
+    if (message is None) != last:
+        raise ChildProcessError("report encoder processes disagree on the number of items")
+    return message
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -184,12 +275,12 @@ def _write_json(payload: dict, out: str | None) -> None:
     A failed write removes out, unless out is a link or not a regular file.
     """
     if out is None:
-        _stream_json(payload, sys.stdout.write)
+        _stream_json(payload, sys.stdout.write, _cpus())
         sys.stdout.write("\n")
         return
     with open(out, "w") as fh:
         try:
-            _stream_json(payload, fh.write)
+            _stream_json(payload, fh.write, _cpus())
             fh.write("\n")
         except BaseException:
             path = Path(out)
@@ -487,12 +578,13 @@ def _plot_gain_vs_k(s: dict) -> None:
     gp = GbmParams(s["mu"], s["sigma"], s["dt"])
     t, k = s["horizon"], np.array(grid.k_values)
     ControlParams(s["i0"], k[0], s["alpha"], s["beta"])  # a bad i0, alpha or beta fails here
-    # the k axis, scored in one evaluation as grid_search scores a grid
+    # the k axis, scored in one evaluation as grid_search scores a grid, under its errstate
     points = _GridPoints(s["i0"], k, np.full_like(k, s["alpha"]), np.full_like(k, s["beta"]))
-    mean, var = expected_gain(points, gp, t), gain_variance(points, gp, t)
-    bias = mean - s["target_fixed"]
-    write_csv(["k", "expected_gain", "gain_variance", "bias", "mse"],
-              zip(*(c.tolist() for c in (k, mean, var, bias, bias * bias + var))), s["out"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = expected_gain(points, gp, t), gain_variance(points, gp, t)
+        bias = mean - s["target_fixed"]
+        columns = [c.tolist() for c in (k, mean, var, bias, bias * bias + var)]
+    write_csv(["k", "expected_gain", "gain_variance", "bias", "mse"], zip(*columns), s["out"])
 
 
 # plotdata kind -> (settings rows, command)

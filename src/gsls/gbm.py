@@ -129,8 +129,9 @@ def estimate_mle(prices, dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> GbmParams:
 
 
 def _check_horizon(t) -> None:
-    if not np.all(np.asarray(t) >= 0.0):
-        raise ValueError("horizon t must be >= 0")
+    t = np.asarray(t)
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise ValueError("horizon t must be >= 0 and finite")
 
 
 def expected_gain(cp: ControlParams, gp: GbmParams, t):

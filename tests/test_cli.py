@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -411,6 +412,34 @@ def test_plotdata_gain_vs_k_takes_the_grid_settings_of_every_command(tmp_path):
     assert len(_read_csv(plain)) == 5
     assert flag.read_bytes() == plain.read_bytes()
     assert configured.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan", "-1"])
+def test_plotdata_gain_vs_k_rejects_a_negative_or_non_finite_horizon(tmp_path, capsys, horizon):
+    out = tmp_path / "curve.csv"
+    args = ["plotdata", "--kind", "gain-vs-k", "--mu", "0.1", "--sigma", "0.2", "--grid-n", "3"]
+    assert main([*args, "--horizon", horizon, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: horizon t must be >= 0 and finite\n"
+    assert not out.exists()
+    assert main([*args, "--horizon", "0", "--out", str(out)]) == 0
+    assert [row[1:] for row in _read_csv(out)[1:]] == [["0.0"] * 4] * 3
+
+
+def test_plotdata_gain_vs_k_is_silent_where_the_moments_overflow(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["plotdata", "--kind", "gain-vs-k", "--mu", "60", "--sigma", "3",
+                     "--grid-n", "4", "--out", str(out)]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    rows = _read_csv(out)[1:]
+    gp = GbmParams(60.0, 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [[repr(float(f(ControlParams(1.0, float(row[0])), gp, 1.0)))
+                     for f in (expected_gain, gain_variance)] for row in rows]
+    assert [row[1:3] for row in rows] == expected
+    assert rows[-1][2] == "inf"
 
 
 def _small_report(tmp_path):

@@ -193,6 +193,14 @@ def test_gain_variance_trivial_cases():
     assert gain_variance(cp, GbmParams(0.1, 0.2), 0.0) == 0.0
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0, np.array([1.0, math.inf])])
+def test_gain_moments_reject_a_negative_or_non_finite_horizon(t):
+    cp, gp = ControlParams(1.0, 1.0), GbmParams(0.1, 0.2)
+    for moment in (expected_gain, gain_variance):
+        with pytest.raises(ValueError, match="horizon"):
+            moment(cp, gp, t)
+
+
 def test_gain_variance_value_and_positivity():
     v = gain_variance(ControlParams(1.0, 1.0), GbmParams(0.0, 1.0), 1.0)
     assert v == pytest.approx(2.0 * math.e + 2.0 / math.e - 4.0, rel=1e-12)

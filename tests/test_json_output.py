@@ -6,6 +6,8 @@ import errno
 import io
 import json
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import pytest
@@ -79,6 +81,123 @@ def test_a_failed_write_leaves_no_file(tmp_path):
     path = tmp_path / "out.json"
     with pytest.raises(RuntimeError, match="row failed"):
         cli._write_json({"series": rows()}, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+STRIPES = [1, 2, 3]
+# 0 rows, 1 row, fewer rows than stripes, more, and lazy lists inside rows
+ROWS = [[], [{"gains": [0.1, -0.0]}], [{"k": 1}, None],
+        [{"gains": [i / 7, math.nan], "symbol": f"s{i}"} for i in range(7)],
+        [[[], [1.5, [math.inf]]], {"g": [2.0, "é"]}, [], "x", -1e308]]
+
+
+@pytest.fixture
+def stripes(request, monkeypatch):
+    """The number of processes that encode a lazy list, forced to request.param."""
+    monkeypatch.setattr(cli, "_cpus", lambda: request.param)
+    yield request.param
+    _assert_no_children()
+
+
+def _assert_no_children():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("stripes", STRIPES, indirect=True)
+@pytest.mark.parametrize("rows", ROWS)
+def test_striped_json_equals_one_json_dumps(tmp_path, stripes, rows):
+    payload = {"series": rows, "config": {"out": "é", "n": [3, 4]}, "a": [rows, 1]}
+    path = tmp_path / "out.json"
+    cli._write_json(_lazy(payload), str(path))
+    assert path.read_text() == _expected(payload)
+    assert _streamed(_lazy(payload)) == _expected(payload)
+
+
+@pytest.mark.parametrize("stripes", [1], indirect=True)
+def test_one_stripe_forks_nothing(monkeypatch, stripes):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    payload = {"series": [{"gains": [1.0, 2.5]}] * 3}
+    assert _streamed(_lazy(payload)) == _expected(payload)
+
+
+def test_the_stripe_count_is_the_cpus_this_process_may_use(monkeypatch):
+    assert cli._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._cpus() == os.cpu_count()
+    monkeypatch.delattr(os, "fork")
+    assert cli._cpus() == 1
+
+
+class _NoText:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+@pytest.mark.parametrize("stripes", STRIPES, indirect=True)
+def test_a_row_that_fails_in_any_stripe_leaves_no_file(tmp_path, stripes):
+    # row 1 is a child's at 2 and 3 stripes, this process's at 1
+    path = tmp_path / "out.json"
+    with pytest.raises(RuntimeError, match="no text"):
+        cli._write_json({"series": iter([{"a": 1.0}, {"a": _NoText()}, {"a": 2.0}])}, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stripes", [2, 3], indirect=True)
+def test_a_child_that_dies_is_a_runtime_error(tmp_path, stripes):
+    parent = os.getpid()
+
+    class Dies:
+        def __str__(self):
+            if os.getpid() == parent:
+                raise AssertionError("row 1 is a child's")
+            os._exit(3)
+
+    path = tmp_path / "out.json"
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        cli._write_json({"series": iter([1.0, Dies(), 2.0])}, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stripes", [2, 3], indirect=True)
+@pytest.mark.parametrize("extra", [-2, 2])
+def test_stripes_that_see_different_row_counts_write_no_file(tmp_path, stripes, extra):
+    parent = os.getpid()
+
+    def rows():
+        yield from range(5 + (extra if os.getpid() != parent else 0))
+
+    path = tmp_path / "out.json"
+    with pytest.raises(ChildProcessError, match="disagree"):
+        cli._write_json({"series": rows()}, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stripes", STRIPES, indirect=True)
+def test_an_interrupt_while_writing_leaves_no_file(tmp_path, stripes):
+    def rows():
+        yield from ({"gains": [1.0] * 1000} for _ in range(4))
+        raise KeyboardInterrupt
+
+    path = tmp_path / "out.json"
+    with pytest.raises(KeyboardInterrupt):
+        cli._write_json({"series": rows()}, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stripes", STRIPES, indirect=True)
+def test_a_full_disk_while_striping_leaves_no_file(tmp_path, monkeypatch, stripes):
+    # 50 rows of about 20 kB each overfill every pipe while this process cannot write
+    monkeypatch.setattr(cli, "open", lambda path, mode: _FullDisk(builtins.open(path, mode),
+                                                                   100_000), raising=False)
+    path = tmp_path / "out.json"
+    with pytest.raises(OSError, match="No space left on device"):
+        cli._write_json({"series": iter([{"gains": [i / 3] * 1000} for i in range(50)])},
+                        str(path))
     assert list(tmp_path.iterdir()) == []
 
 

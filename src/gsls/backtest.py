@@ -21,8 +21,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
-from itertools import count, repeat
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,9 @@ from .optimizer import (
     NoFiniteObjectiveError,
     Objective,
     TargetPolicy,
-    grid_search,
-    resolve_target,
+    _GridPoints,
+    _search,
+    grid_search,  # noqa: F401  perfbench/child.py wraps backtest.grid_search by name
 )
 from .strategy import ControlParams, run_strategy
 
@@ -145,16 +145,20 @@ def load_series(path) -> PriceSeries:
             # csv.reader raises on a field over its size limit; leave that to the loop
             and (len(text) <= limit or max(map(len, lines)) <= limit)
             and [h.strip().lower() for h in lines[0].split(",")] == ["date", "close"]):
-        try:
-            # a line without exactly one comma leaves a comma or nothing in
-            # its price cell, which float rejects
-            days, _, closes = zip(*map(str.partition, lines[1:], repeat(",")))
-            dates = tuple(map(date.fromisoformat, map(str.strip, days)))
-            prices = np.fromiter(map(float, closes), float, len(closes))
-            # PriceSeries checks order and prices; its DataError is a ValueError
-            return PriceSeries(path.stem, dates, prices)
-        except ValueError:
-            pass  # the loop finds the offending row and words the error
+        body = "\n".join(lines[1:])
+        cells = body.replace(",", "\n").split("\n")
+        days, closes = cells[0::2], cells[1::2]
+        # the cells rejoined as "date,close" lines give back the body only when
+        # every line holds exactly one comma; a total comma count would let
+        # "d,5,d" and "7" pass as two rows
+        if "\n".join(map(",".join, zip(days, closes))) == body:
+            try:
+                dates = tuple(map(date.fromisoformat, map(str.strip, days)))
+                prices = np.fromiter(map(float, closes), float, len(closes))
+                # PriceSeries checks order and prices; its DataError is a ValueError
+                return PriceSeries(path.stem, dates, prices)
+            except ValueError:
+                pass  # the loop finds the offending row and words the error
     return _load_rows(path, lines)
 
 
@@ -309,17 +313,6 @@ def aggregate(results, truncate: bool = False) -> BacktestReport:
                           GainSummary.from_gains(matrix[:, -1]))
 
 
-def _trade(series: PriceSeries, choose, *windows) -> SeriesResult:
-    """Cut every (name, start, end) window, check each has two observations, then trade
-    the last with the params of choose(*cuts), which also returns the estimation fields."""
-    cuts = [series.window(start, end) for _, start, end in windows]
-    for (name, _, _), cut in zip(windows, cuts):
-        if len(cut) < 2:
-            raise DataError(f"{series.symbol}: {name} window has {len(cut)} observation(s), need >= 2")
-    params, fields = choose(*cuts)
-    return SeriesResult(series.symbol, params, run_strategy(params, cuts[-1].prices).gain, **fields)
-
-
 def backtest_one(series: PriceSeries, split: SplitSpec, policy: TargetPolicy,
                  grid: GridSpec, objective: Objective, i0: float = 1.0,
                  dt: float = DEFAULT_DT, horizon: float | None = None,
@@ -330,35 +323,16 @@ def backtest_one(series: PriceSeries, split: SplitSpec, policy: TargetPolicy,
     252-observation window optimizes for one year ahead.  jobs is accepted
     for compatibility and has no effect.
     """
-
-    def optimize(train, test):
-        try:
-            gp = estimate_mle(train.prices, dt=dt)
-        except ValueError as exc:
-            raise DataError(f"{series.symbol}: estimation failed: {exc}") from exc
-        t = (len(test) - 1) * dt if horizon is None else horizon
-        try:
-            best = grid_search(gp, t, policy, grid, objective, i0=i0)
-        except NoFiniteObjectiveError as exc:
-            raise DataError(f"{series.symbol}: optimization failed: {exc}") from exc
-        return best.params, dict(target=best.target, mu_hat=gp.mu, sigma_hat=gp.sigma,
-                                 objective_value=best.objective_value)
-
-    return _trade(series, optimize, ("training", split.train_start, split.train_end),
-                  ("testing", split.test_start, split.test_end))
+    results, _ = _optimized([series], split, policy, grid, objective, i0, dt, horizon,
+                            skip_errors=False)
+    return results[0]
 
 
 def run_fixed_strategy(series: PriceSeries, params: ControlParams,
                        start: date, end: date) -> SeriesResult:
     """Trade one series over [start, end] with fixed parameters."""
-    return _trade(series, lambda test: (params, {}), ("testing", start, end))
-
-
-def _run_batch(universe, worker, skip_errors: bool, truncate: bool):
-    """Apply worker per series in input order, then aggregate; DataError
-    rejects are collected by symbol under skip_errors."""
-    results, failures = _each(universe, worker, operator.attrgetter("symbol"), skip_errors)
-    return aggregate(results, truncate=truncate), failures
+    results, _ = _fixed([series], params, start, end, skip_errors=False)
+    return results[0]
 
 
 def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
@@ -368,14 +342,17 @@ def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
                       truncate: bool = False) -> tuple[BacktestReport, dict[str, str]]:
     """Run the estimate/optimize/trade pipeline on every series and aggregate.
 
-    Series run one after another in input order; each one's grid is scored
-    in a single array evaluation.  With skip_errors, series that fail with a
-    data problem are reported instead of fatal.  jobs is accepted for
-    compatibility and has no effect.
+    The pipeline runs in stages, each over every series still in the run:
+    the windows are cut and checked and the dynamics estimated series by
+    series, the grids of a chunk of series are scored in one array
+    evaluation, and a chunk of equal-length test windows is traded in one
+    executor run.  Every result has the bits of backtest_one on its series.
+    With skip_errors, series that fail with a data problem are reported
+    instead of fatal.  jobs is accepted for compatibility and has no effect.
     """
-    return _run_batch(universe, partial(backtest_one, split=split, policy=policy, grid=grid,
-                                        objective=objective, i0=i0, dt=dt, horizon=horizon),
-                      skip_errors, truncate)
+    results, failures = _optimized(universe, split, policy, grid, objective, i0, dt, horizon,
+                                   skip_errors)
+    return aggregate(results, truncate=truncate), failures
 
 
 def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
@@ -383,10 +360,100 @@ def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
                                 truncate: bool = False) -> tuple[BacktestReport, dict[str, str]]:
     """Apply one fixed parameter set to every series over [start, end].
 
+    Chunks of equal-length windows are traded in one executor run each.
     jobs is accepted for compatibility and has no effect.
     """
-    return _run_batch(universe, partial(run_fixed_strategy, params=params, start=start, end=end),
-                      skip_errors, truncate)
+    results, failures = _fixed(universe, params, start, end, skip_errors)
+    return aggregate(results, truncate=truncate), failures
+
+
+def _optimized(universe, split, policy, grid, objective, i0, dt, horizon, skip_errors):
+    """The staged run of backtest_universe, before aggregation."""
+
+    def estimate(series, train, test):
+        try:
+            gp = estimate_mle(train.prices, dt=dt)
+        except ValueError as exc:
+            raise DataError(f"{series.symbol}: estimation failed: {exc}") from exc
+        return gp, (len(test) - 1) * dt if horizon is None else horizon
+
+    def choose(symbols, estimates):
+        gps = [gp for gp, _ in estimates]
+        picks = _search(gps, [t for _, t in estimates], policy, grid, objective, i0)
+        return [DataError(f"{symbol}: optimization failed: {best}")
+                if isinstance(best, NoFiniteObjectiveError)
+                else (best.params, dict(target=best.target, mu_hat=gp.mu, sigma_hat=gp.sigma,
+                                        objective_value=best.objective_value))
+                for symbol, gp, best in zip(symbols, gps, picks)]
+
+    return _run_stages(universe, [("training", split.train_start, split.train_end),
+                                  ("testing", split.test_start, split.test_end)],
+                       estimate, choose, skip_errors)
+
+
+def _fixed(universe, params, start, end, skip_errors):
+    """The staged run of run_fixed_strategy_universe, before aggregation."""
+    return _run_stages(universe, [("testing", start, end)], lambda series, test: None,
+                       lambda symbols, _: [(params, {})] * len(symbols), skip_errors)
+
+
+# prices times series traded in one executor run
+_CHUNK_PRICES = 1 << 15
+
+
+def _run_stages(universe, windows, prepare, choose, skip_errors: bool):
+    """SeriesResults in input order and {symbol: reason} per DataError under skip_errors.
+
+    1. Per series, in input order: cut every (name, start, end) window,
+       check that each holds two observations, and keep the last window's
+       prices and prepare(series, *cuts).
+    2. choose(symbols, prepared) returns, for all those series at once,
+       (params, SeriesResult fields) or a DataError per series.
+    3. Each chunk of equal-length test windows is traded in one run_strategy
+       call with per-row parameter columns, which gives each row the bits
+       of a run on its window alone.
+
+    Without skip_errors the error of the first failing series in input
+    order is raised, as a loop over the series would, even when it fails at
+    a later stage than a series after it; no series after a failure runs
+    the later stages.
+    """
+    universe = list(universe)
+    errors: dict[int, DataError] = {}
+    live = []
+    for i, series in enumerate(universe):
+        try:
+            cuts = [series.window(start, end) for _, start, end in windows]
+            for (name, _, _), cut in zip(windows, cuts):
+                if len(cut) < 2:
+                    raise DataError(
+                        f"{series.symbol}: {name} window has {len(cut)} observation(s), need >= 2")
+            live.append((i, cuts[-1].prices, prepare(series, *cuts)))
+        except DataError as exc:
+            errors[i] = exc
+            if not skip_errors:
+                break
+    picks = choose([universe[i].symbol for i, _, _ in live], [state for _, _, state in live])
+    by_length: dict[int, list] = {}
+    for (i, prices, _), pick in zip(live, picks):
+        if isinstance(pick, DataError):
+            errors[i] = pick
+        else:
+            by_length.setdefault(len(prices), []).append((i, prices, pick))
+    if errors and not skip_errors:
+        raise errors[min(errors)]
+    results = {}
+    for n_prices, group in by_length.items():
+        step = max(1, _CHUNK_PRICES // n_prices)
+        for lo in range(0, len(group), step):
+            chunk = group[lo:lo + step]
+            columns = np.array([(p.i0, p.k, p.alpha, p.beta) for _, _, (p, _) in chunk])
+            gains = run_strategy(_GridPoints(*columns.T[:, :, None]),
+                                 np.stack([prices for _, prices, _ in chunk])).gain
+            for (i, _, (params, fields)), row in zip(chunk, gains):
+                results[i] = SeriesResult(universe[i].symbol, params, row, **fields)
+    return ([results[i] for i in sorted(results)],
+            {universe[i].symbol: str(errors[i]) for i in sorted(errors)})
 
 
 def _series_row(r: SeriesResult) -> dict:

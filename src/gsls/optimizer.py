@@ -4,8 +4,9 @@ Given estimated GBM dynamics and a target gain g*, score every grid point
 (k, alpha, beta) by either the squared expected-gain shortfall (bias**2) or
 the mean squared error bias**2 + variance, and keep the best.  The search
 is exhaustive and deterministic: ties resolve to the smallest k, then
-alpha, then beta.  The whole grid is scored in one array evaluation of the
-same closed forms that score a single ControlParams.
+alpha, then beta.  The whole grid, for a chunk of series at once, is scored
+in one array evaluation of the same closed forms that score a single
+ControlParams.
 """
 
 from __future__ import annotations
@@ -212,29 +213,77 @@ def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
     e^(mu*t) underflows to 0, where no point can be scored.  jobs is
     accepted for compatibility and has no effect.
     """
-    _check_search_horizon(t)
-    # a bad i0 fails here with its own message, not as a grid of NaN
-    ControlParams(i0, grid.k_values[0], grid.alpha_values[0], grid.beta_values[0])
-    target = resolve_target(policy, gp)
-    k, alpha, beta = (axis.ravel() for axis in np.meshgrid(
-        grid.k_values, grid.alpha_values, grid.beta_values, indexing="ij"))
+    result, = _search([gp], [t], policy, grid, objective, i0, keep_table)
+    if isinstance(result, NoFiniteObjectiveError):
+        raise result
+    return result
+
+
+class _Dynamics(NamedTuple):
+    """Drifts and volatilities as arrays, in the attribute shape of GbmParams.
+
+    The closed forms read only mu and sigma, so passing this in place of a
+    GbmParams scores many series in one evaluation.
+    """
+
+    mu: np.ndarray
+    sigma: np.ndarray
+
+
+# grid points times series scored in one evaluation; each temporary of a
+# chunk then holds at most this many floats
+_CHUNK_CELLS = 1 << 15
+
+
+def _search(gps, ts, policy: TargetPolicy, grid: GridSpec, objective: Objective,
+            i0: float = 1.0, keep_table: bool = False) -> list:
+    """grid_search for every (gp, t) pair, a chunk of pairs per evaluation.
+
+    Returns per pair the OptimizationResult grid_search returns, or the
+    NoFiniteObjectiveError it raises.  In a chunk, the grid axes broadcast
+    as k (K,1,1), alpha (1,A,1) and beta (1,1,B) against one row per pair,
+    so each factor is computed once per distinct value, and every value has
+    the bits of grid_search on its pair alone.
+    """
+    for t in ts:
+        _check_search_horizon(t)
+    if gps:
+        # a bad i0 fails here with its own message, not as a grid of NaN
+        ControlParams(i0, grid.k_values[0], grid.alpha_values[0], grid.beta_values[0])
+    targets = [resolve_target(policy, gp) for gp in gps]
+    mu, sigma, t, target = (np.array(column, dtype=float).reshape(-1, 1, 1, 1) for column in (
+        [gp.mu for gp in gps], [gp.sigma for gp in gps], ts, targets))
+    points = _GridPoints(i0, *np.ix_(grid.k_values, grid.alpha_values, grid.beta_values))
+    combos = list(grid.combos())
+    results = [None] * len(gps)
     with np.errstate(over="ignore", invalid="ignore"):
-        # the mean gain is the closed form at q = e^(mu*t), undefined at q == 0
-        if not np.exp(gp.mu * t) > 0.0:
-            raise NoFiniteObjectiveError(
-                f"price ratio e^(mu*t) underflows to 0 at mu*t = {gp.mu * t:g}")
-        values = _objective_value(_GridPoints(i0, k, alpha, beta), gp, t, target, objective)
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise NoFiniteObjectiveError("no grid point has a finite objective value")
-    best = int(np.argmin(np.where(finite, values, np.inf)))
-    table = None
-    if keep_table:
-        table = tuple(zip(k.tolist(), alpha.tolist(), beta.tolist(), values.tolist()))
-    return OptimizationResult(
-        params=ControlParams(i0, float(k[best]), float(alpha[best]), float(beta[best])),
-        objective=objective,
-        objective_value=float(values[best]),
-        target=float(target),
-        table=table,
-    )
+        # the mean gain is the closed form at q = e^(mu*t), undefined at q == 0;
+        # such rows stay out of the chunks, whose closed forms reject any q == 0
+        underflow = np.exp(mu * t).ravel() == 0.0
+    for i in np.flatnonzero(underflow).tolist():
+        results[i] = NoFiniteObjectiveError(
+            f"price ratio e^(mu*t) underflows to 0 at mu*t = {gps[i].mu * ts[i]:g}")
+    rows = np.flatnonzero(~underflow)
+    step = max(1, _CHUNK_CELLS // grid.size)
+    for chunk in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _objective_value(points, _Dynamics(mu[chunk], sigma[chunk]), t[chunk],
+                                      target[chunk], objective).reshape(len(chunk), grid.size)
+        finite = np.isfinite(values)
+        best = np.argmin(np.where(finite, values, np.inf), axis=1)
+        for i, row, b, any_finite in zip(chunk.tolist(), values, best.tolist(),
+                                         finite.any(axis=1).tolist()):
+            if not any_finite:
+                results[i] = NoFiniteObjectiveError("no grid point has a finite objective value")
+                continue
+            table = None
+            if keep_table:
+                table = tuple((*combo, v) for combo, v in zip(combos, row.tolist()))
+            results[i] = OptimizationResult(
+                params=ControlParams(i0, *combos[b]),
+                objective=objective,
+                objective_value=float(row[b]),
+                target=float(targets[i]),
+                table=table,
+            )
+    return results

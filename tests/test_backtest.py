@@ -14,6 +14,7 @@ from gsls import backtest as backtest_module
 from gsls import (
     ControlParams,
     DataError,
+    DriftAdaptiveTarget,
     FixedTarget,
     GainSummary,
     GbmParams,
@@ -31,6 +32,7 @@ from gsls import (
     report_to_dict,
     run_fixed_strategy,
     run_fixed_strategy_universe,
+    run_strategy,
     simulate_paths,
     write_daily_csv,
     write_summary_csv,
@@ -237,6 +239,17 @@ def test_load_series_sends_quoted_and_rejected_files_to_the_row_loop(tmp_path, m
     with pytest.raises((csv.Error, DataError)):
         load_series(padded)
     assert len(calls) == 4
+
+
+def test_load_series_checks_one_comma_per_line_not_in_total(tmp_path, monkeypatch):
+    # two commas on one line and none on the next: split at every comma, the
+    # cells would read as the two valid rows (2016-01-01, 5) and (2016-01-02, 7)
+    calls = _count_loop_calls(monkeypatch)
+    f = tmp_path / "c.csv"
+    f.write_text("date,close\n2016-01-01,5,2016-01-02\n7\n")
+    with pytest.raises(DataError, match="row 2: expected 2 fields, got 3"):
+        load_series(f)
+    assert len(calls) == 1
 
 
 def test_load_universe_sorted_and_skip_with_report(tmp_path):
@@ -597,3 +610,48 @@ def test_run_fixed_strategy_universe_records_a_short_window_like_run_fixed_strat
     assert failures == {"short": str(err.value)}
     assert str(err.value) == "short: testing window has 1 observation(s), need >= 2"
     assert len(report.results) == 2
+
+
+def _staged_universe():
+    # [ok, fails at optimization, fails at its windows, ok]: the second fails at a
+    # later stage than the third
+    ok0, ok3 = _gbm_universe(2, 0.1, 0.2, 365, seed_tag=57)
+    fall = _series("fall", "2016-01-01", 100.0 * np.exp(-2.0 * np.arange(366)))
+    # 2016-07-01 is the testing window's one observation
+    short = _series("short", "2016-01-01", np.linspace(90.0, 95.0, 183))
+    return [ok0, fall, short, ok3]
+
+
+def test_backtest_universe_reports_failures_in_input_order_whatever_their_stage():
+    args = (_staged_universe(), SPLIT, FixedTarget(0.15), GridSpec.default(), Objective.MSE)
+    fall = "fall: optimization failed: price ratio e^(mu*t) underflows to 0 at mu*t = -1008"
+    short = "short: testing window has 1 observation(s), need >= 2"
+    with pytest.raises(DataError) as err:
+        backtest_universe(*args, horizon=2.0)
+    assert str(err.value) == fall
+    report, failures = backtest_universe(*args, horizon=2.0, skip_errors=True)
+    assert list(failures.items()) == [("fall", fall), ("short", short)]
+    assert [r.symbol for r in report.results] == ["s000", "s001"]
+
+
+@pytest.mark.parametrize("prices", [1, 600, backtest_module._CHUNK_PRICES])
+def test_universe_gains_equal_a_run_on_each_window_alone(monkeypatch, prices):
+    # test windows of 6 lengths, so truncate must clip; small chunks split each length
+    universe = [PriceSeries(s.symbol, s.dates[:366 - (i % 6) * 9], s.prices[:366 - (i % 6) * 9])
+                for i, s in enumerate(_gbm_universe(14, 0.1, 0.2, 365, seed_tag=58))]
+    monkeypatch.setattr(backtest_module, "_CHUNK_PRICES", prices)
+    optimized, _ = backtest_universe(universe, SPLIT, DriftAdaptiveTarget(0.05), GridSpec.default(),
+                                     Objective.BIAS_SQUARED, truncate=True)
+    fixed, _ = run_fixed_strategy_universe(universe, ControlParams(1.3, 2.0, 0.7, 1.5),
+                                           SPLIT.test_start, SPLIT.test_end, truncate=True)
+    assert len({len(r.gains) for r in optimized.results}) == 6
+    for report in (optimized, fixed):
+        for series, r in zip(universe, report.results):
+            window = series.window(SPLIT.test_start, SPLIT.test_end).prices
+            alone = run_strategy(r.params, window).gain
+            np.testing.assert_array_equal(r.gains.view(np.uint64), alone.view(np.uint64))
+    for series, r in zip(universe, optimized.results):
+        one = backtest_one(series, SPLIT, DriftAdaptiveTarget(0.05), GridSpec.default(),
+                           Objective.BIAS_SQUARED)
+        assert (one.params, one.target, one.mu_hat, one.sigma_hat, one.objective_value) == (
+            r.params, r.target, r.mu_hat, r.sigma_hat, r.objective_value)

@@ -24,6 +24,7 @@ from gsls import (
     trading_bias,
     trading_mse,
 )
+from gsls import optimizer
 from gsls.optimizer import _GridPoints
 
 
@@ -338,3 +339,67 @@ def test_special_exponents_on_grid_points_equal_the_scalar_api():
         batch = expected_gain(_GridPoints(1.0, k, a, b), gp, t)
         scalar = np.array([expected_gain(ControlParams(1.0, *x), gp, t) for x in zip(k, a, b)])
         np.testing.assert_array_equal(batch, scalar)
+
+
+_extreme_mu = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e3, 1e3),
+                        st.sampled_from([0.0, 60.0, -60.0, 400.0, -400.0]))
+_extreme_sigma = st.one_of(st.floats(0.0, 1.5), st.floats(0.0, 60.0),
+                           st.sampled_from([0.0, 3.0, 50.0]))
+_extreme_t = st.one_of(st.floats(1e-3, 3.0), st.sampled_from([1e-9, 1.0, 2.0, 100.0]))
+_policy = st.one_of(st.builds(FixedTarget, st.floats(-2.0, 2.0)),
+                    st.builds(DriftAdaptiveTarget, st.floats(0.0, 1.0)))
+# K, A and B all differ, so scoring with two axes swapped moves the winner
+_grids = st.sampled_from([GridSpec((0.5, 1.0, 2.5), (0.7, 1.3), (0.4, 0.9, 1.6, 3.0)),
+                          GridSpec.equally_spaced(0.5, 5.0, 4, sls_only=True),
+                          GridSpec.default()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(st.tuples(_extreme_mu, _extreme_sigma, _extreme_t), min_size=1, max_size=40),
+       policy=_policy, grid=_grids, objective=st.sampled_from(Objective),
+       i0=st.floats(0.01, 100.0), cells=st.sampled_from([1, 50, optimizer._CHUNK_CELLS]))
+def test_batched_search_equals_grid_search_row_by_row(rows, policy, grid, objective, i0, cells):
+    gps = [GbmParams(mu, sigma) for mu, sigma, _ in rows]
+    ts = [t for _, _, t in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        # small chunks put rows of one draw into different evaluations
+        mp.setattr(optimizer, "_CHUNK_CELLS", cells)
+        batch = optimizer._search(gps, ts, policy, grid, objective, i0)
+    assert len(batch) == len(rows)
+    for gp, t, got in zip(gps, ts, batch):
+        try:
+            want = grid_search(gp, t, policy, grid, objective, i0=i0)
+        except NoFiniteObjectiveError as exc:
+            assert type(got) is NoFiniteObjectiveError and str(got) == str(exc)
+            continue
+        assert (got.params, got.objective, got.target) == (want.params, want.objective, want.target)
+        assert got.objective_value.hex() == want.objective_value.hex()
+        # grid_search never returns a non-finite winner
+        assert math.isfinite(got.objective_value)
+        # the scalar API scores the reported point at the reported value, which
+        # fails when the values and the (k, alpha, beta) points disagree on the axis order
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = trading_bias(got.params, gp, t, got.target)
+            scalar = (trading_mse(got.params, gp, t, got.target) if objective is Objective.MSE
+                      else b * b)
+        assert float(scalar) == got.objective_value
+
+
+def test_batched_search_covers_every_outcome_and_the_log_space_variance():
+    # one row per outcome: a finite winner, a variance that takes the log-space
+    # sum, an underflowing e^(mu*t), and no finite value at all
+    gps = [GbmParams(0.1, 0.2), GbmParams(-60.0, 3.0), GbmParams(-400.0, 1.0),
+           GbmParams(400.0, 50.0)]
+    ts = [1.0, 1.0, 2.0, 1.0]
+    grid = GridSpec.default()
+    k, _, b = (np.array(axis) for axis in zip(*grid.combos()))
+    with np.errstate(over="ignore"):
+        # the short term's factor e^(-2*beta*k*mu*t) overflows at row 1
+        assert not np.isfinite(np.exp(-2.0 * b * k * -60.0)).all()
+    batch = optimizer._search(gps, ts, FixedTarget(0.15), grid, Objective.MSE)
+    assert batch[0] == grid_search(gps[0], 1.0, FixedTarget(0.15), grid, Objective.MSE)
+    assert batch[1] == grid_search(gps[1], 1.0, FixedTarget(0.15), grid, Objective.MSE)
+    assert str(batch[2]) == "price ratio e^(mu*t) underflows to 0 at mu*t = -800"
+    assert str(batch[3]) == "no grid point has a finite objective value"
+    # no rows, nothing to check or score
+    assert optimizer._search([], [], FixedTarget(0.15), grid, Objective.MSE, i0=0.0) == []

@@ -345,7 +345,7 @@ def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
     The pipeline runs in stages, each over every series still in the run:
     the windows are cut and checked and the dynamics estimated series by
     series, the grids of a chunk of series are scored in one array
-    evaluation, and a chunk of equal-length test windows is traded in one
+    evaluation, and the test windows of each length are traded in one
     executor run.  Every result has the bits of backtest_one on its series.
     With skip_errors, series that fail with a data problem are reported
     instead of fatal.  jobs is accepted for compatibility and has no effect.
@@ -360,7 +360,7 @@ def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
                                 truncate: bool = False) -> tuple[BacktestReport, dict[str, str]]:
     """Apply one fixed parameter set to every series over [start, end].
 
-    Chunks of equal-length windows are traded in one executor run each.
+    The windows of each length are traded in one executor run.
     jobs is accepted for compatibility and has no effect.
     """
     results, failures = _fixed(universe, params, start, end, skip_errors)
@@ -397,10 +397,6 @@ def _fixed(universe, params, start, end, skip_errors):
                        lambda symbols, _: [(params, {})] * len(symbols), skip_errors)
 
 
-# prices times series traded in one executor run
-_CHUNK_PRICES = 1 << 15
-
-
 def _run_stages(universe, windows, prepare, choose, skip_errors: bool):
     """SeriesResults in input order and {symbol: reason} per DataError under skip_errors.
 
@@ -409,9 +405,10 @@ def _run_stages(universe, windows, prepare, choose, skip_errors: bool):
        prices and prepare(series, *cuts).
     2. choose(symbols, prepared) returns, for all those series at once,
        (params, SeriesResult fields) or a DataError per series.
-    3. Each chunk of equal-length test windows is traded in one run_strategy
-       call with per-row parameter columns, which gives each row the bits
-       of a run on its window alone.
+    3. The test windows of each length are traded in one run_strategy call
+       with per-row parameter columns, which gives each row the bits of a
+       run on its window alone.  A row whose gains are not all finite, an
+       overflow of the executor, is a DataError.
 
     Without skip_errors the error of the first failing series in input
     order is raised, as a loop over the series would, even when it fails at
@@ -438,20 +435,24 @@ def _run_stages(universe, windows, prepare, choose, skip_errors: bool):
     for (i, prices, _), pick in zip(live, picks):
         if isinstance(pick, DataError):
             errors[i] = pick
-        else:
+        elif skip_errors or not errors or i < min(errors):
             by_length.setdefault(len(prices), []).append((i, prices, pick))
+    results = {}
+    for group in by_length.values():
+        columns = np.array([(p.i0, p.k, p.alpha, p.beta) for _, _, (p, _) in group])
+        # an overflowing row is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            gains = run_strategy(_GridPoints(*columns.T[:, :, None]),
+                                 np.stack([prices for _, prices, _ in group])).gain
+        finite = np.isfinite(gains).all(axis=1)
+        for (i, _, (params, fields)), row, ok in zip(group, gains, finite):
+            symbol = universe[i].symbol
+            if ok:
+                results[i] = SeriesResult(symbol, params, row, **fields)
+            else:
+                errors[i] = DataError(f"{symbol}: trading failed: the gain overflows")
     if errors and not skip_errors:
         raise errors[min(errors)]
-    results = {}
-    for n_prices, group in by_length.items():
-        step = max(1, _CHUNK_PRICES // n_prices)
-        for lo in range(0, len(group), step):
-            chunk = group[lo:lo + step]
-            columns = np.array([(p.i0, p.k, p.alpha, p.beta) for _, _, (p, _) in chunk])
-            gains = run_strategy(_GridPoints(*columns.T[:, :, None]),
-                                 np.stack([prices for _, prices, _ in chunk])).gain
-            for (i, _, (params, fields)), row in zip(chunk, gains):
-                results[i] = SeriesResult(universe[i].symbol, params, row, **fields)
     return ([results[i] for i in sorted(results)],
             {universe[i].symbol: str(errors[i]) for i in sorted(errors)})
 

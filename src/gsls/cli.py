@@ -31,7 +31,7 @@ from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate
 from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
                         Objective, _check_search_horizon, _GridPoints, grid_search,
                         policy_label)
-from .strategy import ControlParams, gain_total_closed
+from .strategy import ControlParams, _usable_cpus, gain_total_closed
 
 __all__ = ["main"]
 
@@ -158,12 +158,7 @@ _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 def _cpus() -> int:
     """Processes that encode a lazy list: the CPUs this process may run on, 1 without fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+    return _usable_cpus() if hasattr(os, "fork") else 1
 
 
 def _stream_json(value, write, stripes: int = 1) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategy import ControlParams, gain_total_closed
+from .strategy import _BLOCK_PRICES, ControlParams, gain_total_closed
 
 __all__ = [
     "GbmParams",
@@ -74,9 +74,16 @@ class GbmPath:
 def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed) -> np.ndarray:
     """Simulate independent GBM paths; returns shape (n_paths, steps + 1).
 
-    Identical seeds reproduce identical paths.  The normal draws become the
-    log increments in place, and their running sum, its exponential and the
-    scaling by p0 are written straight into the returned array.
+    Identical seeds reproduce identical paths.  The returned array is the
+    only one of that size: the paths are drawn in blocks of about
+    _BLOCK_PRICES prices that stay in cache, each block's normal draws
+    filling one reused scratch buffer.  They become the log increments in
+    place, and their running sum, its exponential and the scaling by p0
+    are written straight into the block's rows of the returned array.
+    Drawing row blocks one after another consumes the generator's stream in
+    the order one draw of shape (n_paths, steps) would, so the blocks do not
+    change the bits.  One thread does all of it: the generator is
+    sequential.
     """
     if not (math.isfinite(p0) and p0 > 0.0):
         raise ValueError(f"p0 must be positive and finite, got {p0!r}")
@@ -85,15 +92,22 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_paths, steps))
-    z *= params.sigma * math.sqrt(params.dt)
-    z += (params.mu - 0.5 * params.sigma**2) * params.dt
+    scale = params.sigma * math.sqrt(params.dt)
+    drift = (params.mu - 0.5 * params.sigma**2) * params.dt
     out = np.empty((n_paths, steps + 1))
-    out[:, 0] = p0
-    tail = out[:, 1:]
-    np.cumsum(z, axis=1, out=tail)
-    np.exp(tail, out=tail)
-    tail *= p0
+    step = max(1, _BLOCK_PRICES // steps)
+    z = np.empty((min(step, n_paths), steps))
+    for lo in range(0, n_paths, step):
+        rows = out[lo:lo + step]
+        block = z[:len(rows)]
+        rng.standard_normal(out=block)
+        block *= scale
+        block += drift
+        np.cumsum(block, axis=1, out=rows[:, 1:])
+        # exp(0) * p0 is p0 exactly, so the whole block is one flat pass
+        rows[:, 0] = 0.0
+        np.exp(rows, out=rows)
+        rows *= p0
     return out
 
 

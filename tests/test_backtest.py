@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsls import backtest as backtest_module
+from gsls import strategy as strategy_module
 from gsls import (
     ControlParams,
     DataError,
@@ -634,12 +636,55 @@ def test_backtest_universe_reports_failures_in_input_order_whatever_their_stage(
     assert [r.symbol for r in report.results] == ["s000", "s001"]
 
 
-@pytest.mark.parametrize("prices", [1, 600, backtest_module._CHUNK_PRICES])
+def _overflowing_universe():
+    # an ordinary ramp, and prices alternating 1 and 1e130, whose books overflow
+    return [_series("ramp", "2016-01-01", np.linspace(100.0, 150.0, 366)),
+            _series("wild", "2016-01-01", np.where(np.arange(366) % 2, 1e130, 1.0))]
+
+
+@pytest.mark.parametrize("block_prices, workers", [(1 << 17, 1), (1, 3)])
+def test_an_overflowing_gain_is_a_data_error_that_names_the_series(monkeypatch, block_prices,
+                                                                   workers):
+    # blocks of one price put each series in its own block, and three workers run them
+    monkeypatch.setattr(strategy_module, "_BLOCK_PRICES", block_prices)
+    monkeypatch.setattr(strategy_module, "_usable_cpus", lambda: workers)
+    args = (_overflowing_universe(), ControlParams(1.0, 2.0), SPLIT.test_start, SPLIT.test_end)
+    message = "wild: trading failed: the gain overflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{message}$"):
+            run_fixed_strategy_universe(*args)
+        report, failures = run_fixed_strategy_universe(*args, skip_errors=True)
+    assert failures == {"wild": message}
+    assert [r.symbol for r in report.results] == ["ramp"]
+    json.dumps(report_to_dict(report), allow_nan=False)
+    # the library's executor keeps returning IEEE values
+    window = args[0][1].window(SPLIT.test_start, SPLIT.test_end).prices
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = run_strategy(args[1], window).gain
+    assert np.isinf(gain).any() and np.isnan(gain).any()
+
+
+@pytest.mark.parametrize("order, raised", [
+    (("wild", "short"), "wild: trading failed: the gain overflows"),
+    (("short", "wild"), "short: testing window has 1 observation(s), need >= 2"),
+])
+def test_a_trading_failure_is_raised_in_input_order(order, raised):
+    series = {"wild": _overflowing_universe()[1],
+              "short": _series("short", "2016-12-31", [5.0, 6.0])}
+    with pytest.raises(DataError) as err:
+        run_fixed_strategy_universe([series[name] for name in order], ControlParams(1.0, 2.0),
+                                    SPLIT.test_start, SPLIT.test_end)
+    assert str(err.value) == raised
+
+
+@pytest.mark.parametrize("prices", [1, 600, 1 << 15])
 def test_universe_gains_equal_a_run_on_each_window_alone(monkeypatch, prices):
-    # test windows of 6 lengths, so truncate must clip; small chunks split each length
+    # test windows of 6 lengths, so truncate must clip; small executor blocks split
+    # each length's run
     universe = [PriceSeries(s.symbol, s.dates[:366 - (i % 6) * 9], s.prices[:366 - (i % 6) * 9])
                 for i, s in enumerate(_gbm_universe(14, 0.1, 0.2, 365, seed_tag=58))]
-    monkeypatch.setattr(backtest_module, "_CHUNK_PRICES", prices)
+    monkeypatch.setattr(strategy_module, "_BLOCK_PRICES", prices)
     optimized, _ = backtest_universe(universe, SPLIT, DriftAdaptiveTarget(0.05), GridSpec.default(),
                                      Objective.BIAS_SQUARED, truncate=True)
     fixed, _ = run_fixed_strategy_universe(universe, ControlParams(1.3, 2.0, 0.7, 1.5),

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import warnings
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -344,6 +345,36 @@ def test_backtest_underflowing_price_ratio_is_a_data_error_and_skip(tmp_path, ca
     assert "underflows to 0" in doc["failures"]["zz_fall"]
     assert len(doc["report"]["series"]) == 2
 
+
+def test_backtest_overflowing_gain_is_a_data_error_and_skip(tmp_path, capsys):
+    universe = tmp_path / "universe"
+    universe.mkdir()
+    days = [date(2016, 1, 1) + timedelta(days=i) for i in range(366)]
+    # an ordinary ramp, and prices alternating 1 and 1e130, whose books overflow
+    for name, prices in [("ramp", np.linspace(100.0, 150.0, 366)),
+                         ("wild", np.where(np.arange(366) % 2, 1e130, 1.0))]:
+        rows = [f"{day},{price!r}" for day, price in zip(days, prices.tolist())]
+        (universe / f"{name}.csv").write_text("date,close\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "sweep"
+    base = ["backtest", "--in", str(universe), "--out", str(out),
+            "--train-window", "2016-01-01:2016-06-30", "--test-window", "2016-07-01:2016-12-31",
+            "--fixed-k", "1,2"]
+    message = "wild: trading failed: the gain overflows"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(base) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert main([*base, "--skip-errors"]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+
+    def no_constant(name):
+        raise AssertionError(f"report.json holds {name}")
+
+    doc = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    for label in ("sls_k1", "sls_k2"):
+        assert doc["strategies"][label]["failures"] == {"wild": message}
+        assert [row["symbol"] for row in doc["strategies"][label]["report"]["series"]] == ["ramp"]
 
 def test_json_outputs_are_one_line(tmp_path):
     universe = _simulate(tmp_path, count=2, steps=60)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsls import gbm as gbm_module
 from gsls import (
     ControlParams,
     GbmParams,
@@ -36,6 +37,32 @@ def test_simulate_paths_shape_and_start():
     assert np.all(paths[:, 0] == 100.0)
     assert np.all(paths > 0.0)
 
+
+def _one_shot_paths(params, p0, steps, n_paths, seed):
+    """simulate_paths as one draw of shape (n_paths, steps) and whole-array passes."""
+    z = np.random.default_rng(seed).standard_normal((n_paths, steps))
+    z *= params.sigma * math.sqrt(params.dt)
+    z += (params.mu - 0.5 * params.sigma**2) * params.dt
+    out = np.empty((n_paths, steps + 1))
+    out[:, 0] = p0
+    np.cumsum(z, axis=1, out=out[:, 1:])
+    np.exp(out[:, 1:], out=out[:, 1:])
+    out[:, 1:] *= p0
+    return out
+
+
+@pytest.mark.parametrize("block_prices", [50, 1 << 17])
+@pytest.mark.parametrize("n_paths, steps", [(1, 1), (1, 40), (1, 300), (7, 3), (13, 20),
+                                            (16, 25), (5, 301), (400, 252)])
+def test_simulate_paths_in_blocks_equals_one_draw_bit_for_bit(monkeypatch, block_prices,
+                                                               n_paths, steps):
+    # blocks of 50 prices: rows of 20 go two to a block, rows over 50 one to a block
+    monkeypatch.setattr(gbm_module, "_BLOCK_PRICES", block_prices)
+    params, seed = GbmParams(0.3, 0.45, dt=0.01), [4, n_paths, steps]
+    got = simulate_paths(params, 37.5, steps, n_paths, seed)
+    expected = _one_shot_paths(params, 37.5, steps, n_paths, seed)
+    assert got.shape == expected.shape == (n_paths, steps + 1)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 def test_simulate_paths_seed_reproducibility():
     gp = GbmParams(0.05, 0.3)

@@ -1,10 +1,19 @@
 """Closed-form gains, roots, and the discrete executor."""
 
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsls
+from gsls import strategy as strategy_module
 from gsls import (
     Beta1Roots,
     ControlParams,
@@ -16,6 +25,7 @@ from gsls import (
     positive_gain_condition,
     run_strategy,
 )
+from gsls.optimizer import _GridPoints
 
 
 def test_control_params_defaults_and_derived_gains():
@@ -337,3 +347,119 @@ def test_run_strategy_derives_book_gains_and_net_investment_on_first_access():
     assert not np.shares_memory(trace.prices, trace.inv_long)
     assert not np.shares_memory(trace.gain, trace.gain_long)
 
+
+def _walk(shape, seed):
+    return 50.0 * np.exp(np.cumsum(np.random.default_rng(seed).normal(0, 0.04, shape), axis=-1))
+
+
+def _columns(lead, seed):
+    """Per-row (i0, k, alpha, beta) columns that broadcast to lead + (1,)."""
+    rng = np.random.default_rng(seed)
+    return _GridPoints(*(rng.uniform(0.3, 3.0, lead + (1,)) for _ in range(4)))
+
+
+def _same_bits(got, expected, what):
+    assert got.shape == expected.shape, what
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64), err_msg=what)
+
+
+def _force(monkeypatch, block_prices, workers):
+    monkeypatch.setattr(strategy_module, "_BLOCK_PRICES", block_prices)
+    monkeypatch.setattr(strategy_module, "_usable_cpus", lambda: workers)
+
+
+# (prices, params, block prices): 11 rows of 40 in blocks of 3 rows, one row and
+# three rows longer than a block, a 3-d batch, and per-row parameter columns
+_BLOCKED = {
+    "ragged-rows": (_walk((11, 40), 31), ControlParams(1.5, 2.0, alpha=0.5, beta=3.0), 120),
+    "one-long-row": (_walk(500, 32), ControlParams(0.7, 4.3, alpha=1.9, beta=0.35), 120),
+    "long-rows": (_walk((3, 500), 33), ControlParams(1.0, 1.0), 120),
+    "3-d": (_walk((2, 3, 17), 34), ControlParams(1.0, 2.5, alpha=1.2, beta=0.8), 40),
+    "row-columns": (_walk((11, 40), 35), _columns((11,), 36), 120),
+    "3-d-columns": (_walk((2, 3, 17), 37), _columns((2, 3), 38), 40),
+    "3-d-broadcast-columns": (_walk((2, 3, 17), 39), _columns((3,), 40), 40),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", sorted(_BLOCKED))
+def test_run_strategy_in_blocks_equals_eager_expressions_bit_for_bit(monkeypatch, name, workers):
+    prices, params, block_prices = _BLOCKED[name]
+    _force(monkeypatch, block_prices, workers)
+    trace = run_strategy(params, prices)
+    for field, expected in _eager_trace(params, prices).items():
+        _same_bits(getattr(trace, field), expected, field)
+
+
+def _overflowing(rows, n):
+    """Ordinary paths whose last row alternates 1 and 1e130, so its books overflow."""
+    prices = _walk((rows, n), 41)
+    prices[-1] = np.where(np.arange(n) % 2, 1e130, 1.0)
+    return prices
+
+
+def test_run_strategy_gives_one_and_three_workers_the_same_bits(monkeypatch):
+    prices = _overflowing(9, 60)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching as often as it can
+    try:
+        for workers in (1, 3):
+            _force(monkeypatch, 130, workers)
+            with np.errstate(over="ignore", invalid="ignore"):
+                runs.append(run_strategy(ControlParams(1.0, 2.0, alpha=0.5, beta=1.5), prices))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not np.isfinite(runs[0].gain[-1]).all()  # the library keeps IEEE values
+    for field in ("gain", "inv_long", "inv_short"):
+        _same_bits(getattr(runs[1], field), getattr(runs[0], field), field)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_a_bad_price_in_the_last_block_raises_and_leaves_no_thread(monkeypatch, bad):
+    prices = _walk((9, 30), 42)
+    prices[-1, 7] = bad
+    _force(monkeypatch, 60, 3)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^prices must be finite and strictly positive$"):
+        run_strategy(ControlParams(1.0, 2.0), prices)
+    assert threading.active_count() == threads
+
+
+def test_worker_threads_run_under_the_callers_error_state(monkeypatch):
+    prices = _overflowing(9, 60)
+    _force(monkeypatch, 130, 3)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        run_strategy(ControlParams(1.0, 2.0), prices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_strategy(ControlParams(1.0, 2.0), prices)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_first_failing_block_raises_as_in_a_serial_loop(monkeypatch, workers):
+    # the first block overflows and the last holds a bad price
+    prices = _overflowing(9, 60)[::-1].copy()
+    prices[-1, 5] = -1.0
+    _force(monkeypatch, 130, workers)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        run_strategy(ControlParams(1.0, 2.0), prices)
+
+
+@pytest.mark.parametrize("block_prices, workers", [(60, 1), (1 << 20, 3)])
+def test_one_cpu_or_one_block_starts_no_thread(monkeypatch, block_prices, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    _force(monkeypatch, block_prices, workers)
+    prices = _walk((9, 30), 43)
+    params = ControlParams(1.0, 2.0)
+    _same_bits(run_strategy(params, prices).gain, _eager_trace(params, prices)["gain"], "gain")
+
+
+def test_importing_gsls_loads_no_thread_pool():
+    code = "import sys, gsls, gsls.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gsls.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

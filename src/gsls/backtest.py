@@ -19,7 +19,7 @@ import operator
 import sys
 from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from itertools import count
 from pathlib import Path
@@ -218,20 +218,15 @@ def load_universe(path, skip_errors: bool = False) -> tuple[list[PriceSeries], d
     files = sorted(root.glob("*.csv"))
     if not files:
         raise DataError(f"{root}: no CSV files found")
-    return _each(files, load_series, operator.attrgetter("name"), skip_errors)
-
-
-def _each(items, work, name, skip_errors: bool) -> tuple[list, dict[str, str]]:
-    """work(item) per item, in order, and {name(item): reason} per DataError under skip_errors."""
-    done, failures = [], {}
-    for item in items:
+    universe, failures = [], {}
+    for file in files:
         try:
-            done.append(work(item))
+            universe.append(load_series(file))
         except DataError as exc:
             if not skip_errors:
                 raise
-            failures[name(item)] = str(exc)
-    return done, failures
+            failures[file.name] = str(exc)
+    return universe, failures
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,20 +314,19 @@ def backtest_one(series: PriceSeries, split: SplitSpec, policy: TargetPolicy,
                  jobs: int = 1) -> SeriesResult:
     """Estimate on the training window, optimize, trade the test window.
 
-    horizon defaults to the test window's length in units of dt, so a
-    252-observation window optimizes for one year ahead.  jobs is accepted
-    for compatibility and has no effect.
+    The one-series case of backtest_universe.  horizon defaults to the test
+    window's length in units of dt, so a 252-observation window optimizes
+    for one year ahead.  jobs is accepted for compatibility and has no effect.
     """
-    results, _ = _optimized([series], split, policy, grid, objective, i0, dt, horizon,
-                            skip_errors=False)
-    return results[0]
+    report, _ = backtest_universe([series], split, policy, grid, objective, i0, dt, horizon)
+    return report.results[0]
 
 
 def run_fixed_strategy(series: PriceSeries, params: ControlParams,
                        start: date, end: date) -> SeriesResult:
-    """Trade one series over [start, end] with fixed parameters."""
-    results, _ = _fixed([series], params, start, end, skip_errors=False)
-    return results[0]
+    """run_fixed_strategy_universe on one series: trade it over [start, end] with params."""
+    report, _ = run_fixed_strategy_universe([series], params, start, end)
+    return report.results[0]
 
 
 def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
@@ -346,29 +340,10 @@ def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
     the windows are cut and checked and the dynamics estimated series by
     series, the grids of a chunk of series are scored in one array
     evaluation, and the test windows of each length are traded in one
-    executor run.  Every result has the bits of backtest_one on its series.
+    executor run.  Every result has the bits of a run on its series alone.
     With skip_errors, series that fail with a data problem are reported
     instead of fatal.  jobs is accepted for compatibility and has no effect.
     """
-    results, failures = _optimized(universe, split, policy, grid, objective, i0, dt, horizon,
-                                   skip_errors)
-    return aggregate(results, truncate=truncate), failures
-
-
-def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
-                                end: date, jobs: int = 1, skip_errors: bool = False,
-                                truncate: bool = False) -> tuple[BacktestReport, dict[str, str]]:
-    """Apply one fixed parameter set to every series over [start, end].
-
-    The windows of each length are traded in one executor run.
-    jobs is accepted for compatibility and has no effect.
-    """
-    results, failures = _fixed(universe, params, start, end, skip_errors)
-    return aggregate(results, truncate=truncate), failures
-
-
-def _optimized(universe, split, policy, grid, objective, i0, dt, horizon, skip_errors):
-    """The staged run of backtest_universe, before aggregation."""
 
     def estimate(series, train, test):
         try:
@@ -388,17 +363,23 @@ def _optimized(universe, split, policy, grid, objective, i0, dt, horizon, skip_e
 
     return _run_stages(universe, [("training", split.train_start, split.train_end),
                                   ("testing", split.test_start, split.test_end)],
-                       estimate, choose, skip_errors)
+                       estimate, choose, skip_errors, truncate)
 
 
-def _fixed(universe, params, start, end, skip_errors):
-    """The staged run of run_fixed_strategy_universe, before aggregation."""
+def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
+                                end: date, jobs: int = 1, skip_errors: bool = False,
+                                truncate: bool = False) -> tuple[BacktestReport, dict[str, str]]:
+    """Apply one fixed parameter set to every series over [start, end].
+
+    The windows of each length are traded in one executor run.
+    jobs is accepted for compatibility and has no effect.
+    """
     return _run_stages(universe, [("testing", start, end)], lambda series, test: None,
-                       lambda symbols, _: [(params, {})] * len(symbols), skip_errors)
+                       lambda symbols, _: [(params, {})] * len(symbols), skip_errors, truncate)
 
 
-def _run_stages(universe, windows, prepare, choose, skip_errors: bool):
-    """SeriesResults in input order and {symbol: reason} per DataError under skip_errors.
+def _run_stages(universe, windows, prepare, choose, skip_errors: bool, truncate: bool):
+    """The aggregated SeriesResults, in input order, and {symbol: reason} per DataError.
 
     1. Per series, in input order: cut every (name, start, end) window,
        check that each holds two observations, and keep the last window's
@@ -453,25 +434,20 @@ def _run_stages(universe, windows, prepare, choose, skip_errors: bool):
                 errors[i] = DataError(f"{symbol}: trading failed: the gain overflows")
     if errors and not skip_errors:
         raise errors[min(errors)]
-    return ([results[i] for i in sorted(results)],
+    return (aggregate([results[i] for i in sorted(results)], truncate=truncate),
             {universe[i].symbol: str(errors[i]) for i in sorted(errors)})
 
 
 def _series_row(r: SeriesResult) -> dict:
-    """One series' JSON-ready report row; its gains become a plain float list."""
-    return {
-        "symbol": r.symbol,
-        "i0": r.params.i0,
-        "k": r.params.k,
-        "alpha": r.params.alpha,
-        "beta": r.params.beta,
-        "target": r.target,
-        "mu_hat": r.mu_hat,
-        "sigma_hat": r.sigma_hat,
-        "objective_value": r.objective_value,
-        "final_gain": r.final_gain,
-        "gains": r.gains.tolist(),
-    }
+    """r's fields as a JSON-ready row: a ControlParams spread out, arrays as float lists."""
+    row = {"final_gain": r.final_gain}
+    for f in fields(r):
+        value = getattr(r, f.name)
+        if isinstance(value, ControlParams):
+            row.update(vars(value))
+        else:
+            row[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return row
 
 
 def report_to_dict(report: BacktestReport, rows=list) -> dict:

@@ -17,6 +17,7 @@ import os
 import signal
 import sys
 from collections.abc import Iterator
+from contextlib import nullcontext
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -170,15 +171,7 @@ def _stream_json(value, write, stripes: int = 1) -> None:
     one has its items encoded by that many processes (see _stream_striped).
     """
     if isinstance(value, Iterator):
-        if stripes > 1:
-            _stream_striped(value, write, stripes)
-            return
-        write("[")
-        for i, item in enumerate(value):
-            if i:
-                write(", ")
-            _stream_json(item, write)
-        write("]")
+        _stream_striped(value, write, stripes)
     elif isinstance(value, dict):
         write("{")
         for i, key in enumerate(sorted(value)):
@@ -195,22 +188,24 @@ def _stream_striped(items: Iterator, write, stripes: int) -> None:
     Stripe 0 is this process.  Stripe j > 0 is a forked child that walks its
     own copy of items and sends the text of items j, j + stripes, ... through
     its own pipe, so this process writes every item in order and holds about
-    one item per pipe.  Every child is reaped on every way out.
+    one item per pipe.  Every child is reaped on every way out.  One stripe
+    is a plain loop, which neither imports multiprocessing nor forks.
     """
-    import multiprocessing
-
-    # fork, whatever the platform's default: a child inherits items, which cannot be pickled
-    fork = multiprocessing.get_context("fork")
-    sys.stdout.flush()  # a child flushes both streams as it exits
-    sys.stderr.flush()
     children = []
     try:
-        for stripe in range(1, stripes):
-            recv, send = fork.Pipe(duplex=False)
-            with send:
-                child = fork.Process(target=_encode_stripe, args=(items, stripe, stripes, send))
-                child.start()
-            children.append((child, recv))
+        if stripes > 1:
+            import multiprocessing
+
+            # fork, whatever the platform's default: children inherit items, which cannot be pickled
+            fork = multiprocessing.get_context("fork")
+            sys.stdout.flush()  # a child flushes both streams as it exits
+            sys.stderr.flush()
+            for stripe in range(1, stripes):
+                recv, send = fork.Pipe(duplex=False)
+                with send:
+                    child = fork.Process(target=_encode_stripe, args=(items, stripe, stripes, send))
+                    child.start()
+                children.append((child, recv))
         write("[")
         for i, item in enumerate(items):
             if i:
@@ -269,18 +264,13 @@ def _write_json(payload: dict, out: str | None) -> None:
 
     A failed write removes out, unless out is a link or not a regular file.
     """
-    if out is None:
-        _stream_json(payload, sys.stdout.write, _cpus())
-        sys.stdout.write("\n")
-        return
-    with open(out, "w") as fh:
+    with nullcontext(sys.stdout) if out is None else open(out, "w") as fh:
         try:
             _stream_json(payload, fh.write, _cpus())
             fh.write("\n")
         except BaseException:
-            path = Path(out)
-            if path.is_file() and not path.is_symlink():
-                path.unlink()
+            if out is not None and Path(out).is_file() and not Path(out).is_symlink():
+                Path(out).unlink()
             raise
 
 
@@ -316,10 +306,10 @@ def _strategy_label(params: ControlParams) -> str:
 
 
 def _estimate_from_file(in_path: str, window: str | None, dt: float):
+    span = _parse_window(window, "--train-window") if window else None
     series = load_series(in_path)
-    if window:
-        start, end = _parse_window(window, "--train-window")
-        series = series.window(start, end)
+    if span:
+        series = series.window(*span)
     try:
         return series, estimate_mle(series.prices, dt=dt)
     except ValueError as exc:
@@ -383,18 +373,19 @@ def _cmd_optimize(s: dict) -> None:
     if s["in"] is None:
         if s["mu"] is None or s["sigma"] is None:
             raise UsageError("need --in or both --mu and --sigma")
+        if s["train_window"] is not None:
+            raise UsageError("--train-window applies only to --in; drop it with --mu/--sigma")
         symbol, gp = None, GbmParams(s["mu"], s["sigma"], s["dt"])
     else:
         series, gp = _estimate_from_file(s["in"], s["train_window"], s["dt"])
         symbol = series.symbol
     result = grid_search(gp, s["horizon"], policy, grid, objective,
                          i0=s["i0"], keep_table=s["table"])
-    chosen = {"symbol": symbol, "mu": gp.mu, "sigma": gp.sigma, "k": result.params.k,
-              "alpha": result.params.alpha, "beta": result.params.beta, "i0": result.params.i0,
+    chosen = {"symbol": symbol, "mu": gp.mu, "sigma": gp.sigma, **vars(result.params),
               "objective": objective.value, "objective_value": result.objective_value,
               "target": result.target}
     if result.table is not None:
-        chosen["table"] = [list(row) for row in result.table]
+        chosen["table"] = result.table
     _write_json({"version": __version__, "config": s, "result": chosen}, s["out"])
 
 
@@ -410,11 +401,20 @@ BACKTEST = [
     ("fixed_beta", float, 1.0, "beta for --fixed-k (default 1)"),
     *GRID, *TARGET, OUT,
 ]
+# the keys that only an optimized backtest reads, and those that only a --fixed-k sweep reads
+OPTIMIZED_ONLY = {"dt", "horizon", *(row[0] for row in [*GRID, *TARGET])}
+SWEEP_ONLY = {"fixed_alpha", "fixed_beta"}
 
 
 def _cmd_backtest(s: dict) -> None:
     _need(s, "in", "out", "train_window", "test_window")
     _check(s)
+    sweep, runners = s["fixed_k"] is not None, {}
+    stray = ", ".join(_flag(key) for key, _, default, _ in BACKTEST
+                      if key in (OPTIMIZED_ONLY if sweep else SWEEP_ONLY) and s[key] != default)
+    if stray:
+        raise UsageError(f"--fixed-k runs a parameter sweep; drop {stray}" if sweep
+                         else f"only a --fixed-k sweep reads {stray}")
     grid = _grid(s)
     split = SplitSpec(*_parse_window(s["train_window"], "--train-window"),
                       *_parse_window(s["test_window"], "--test-window"))
@@ -424,10 +424,7 @@ def _cmd_backtest(s: dict) -> None:
         raise UsageError(f"--in: no CSV files in {s['in']}")
     # label -> runner(universe, skip_errors=, truncate=), settled before any data is read;
     # a --fixed-k sweep has one fixed-parameter runner per k and never optimizes
-    sweep, runners = s["fixed_k"] is not None, {}
     if sweep:
-        if any(s[key] is not None for key in ("objective", "target_fixed", "target_drift")):
-            raise UsageError("--fixed-k runs a parameter sweep; drop --objective/--target-* flags")
         for k in _parse_floats(s["fixed_k"], "--fixed-k"):
             params = ControlParams(s["i0"], k, s["fixed_alpha"], s["fixed_beta"])
             label = _strategy_label(params)

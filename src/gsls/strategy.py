@@ -195,19 +195,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _gain_long(params: ControlParams, inv_long: np.ndarray) -> np.ndarray:
-    """Long-book gain (I_L - i0)/k from the long investment, in a new array."""
-    gain = inv_long - params.i0
-    gain /= params.k
-    return gain
+def _gain_long(inv_long: np.ndarray, i0, k, out=None) -> np.ndarray:
+    """Long-book gain (I_L - i0)/k, in out or a new array; i0 and k are scalars or columns."""
+    gain = np.subtract(inv_long, i0, out=out)
+    return np.divide(gain, k, out=gain)
 
 
-def _gain_short(params: ControlParams, inv_short: np.ndarray) -> np.ndarray:
-    """Short-book gain -(I_S + alpha*i0)/(beta*k), in a new array."""
-    gain = inv_short + params.alpha * params.i0
+def _gain_short(inv_short: np.ndarray, alpha_i0, k_short, out=None) -> np.ndarray:
+    """Short-book gain -(I_S + alpha*i0)/(beta*k), in out or a new array."""
+    gain = np.add(inv_short, alpha_i0, out=out)
     np.negative(gain, out=gain)
-    gain /= params.k_short
-    return gain
+    return np.divide(gain, k_short, out=gain)
 
 
 @dataclass(frozen=True)
@@ -233,11 +231,12 @@ class StrategyTrace:
 
     @cached_property
     def gain_long(self) -> np.ndarray:
-        return _gain_long(self.params, self.inv_long)
+        return _gain_long(self.inv_long, self.params.i0, self.params.k)
 
     @cached_property
     def gain_short(self) -> np.ndarray:
-        return _gain_short(self.params, self.inv_short)
+        return _gain_short(self.inv_short, self.params.alpha * self.params.i0,
+                           self.params.k_short)
 
     @cached_property
     def inv_net(self) -> np.ndarray:
@@ -327,13 +326,8 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
         np.cumprod(short, axis=-1, out=short)
         short *= -alpha_i0
 
-        # (I_L - i0)/k + -(I_S + alpha*i0)/(beta*k), as _gain_long and _gain_short
-        np.subtract(long_, i0, out=g)
-        g /= k
-        np.add(short, alpha_i0, out=r)
-        np.negative(r, out=r)
-        r /= k_short
-        g += r
+        _gain_long(long_, i0, k, out=g)
+        g += _gain_short(short, alpha_i0, k_short, out=r)
 
     step = max(1, _BLOCK_PRICES // n)
     starts = range(0, n_rows, step)

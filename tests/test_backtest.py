@@ -1,6 +1,7 @@
 """Series loading, windowing, the per-series pipeline, and aggregation."""
 
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -540,6 +541,33 @@ def test_report_to_dict_holds_the_gains_bit_for_bit():
     for values, array in pairs:
         assert all(type(v) is float for v in values)
         np.testing.assert_array_equal(np.array(values).view(np.uint64), array.view(np.uint64))
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_report_rows_hold_every_series_result_field(fixed):
+    # a row is built from dataclasses.fields(SeriesResult), so a new field reaches report.json
+    universe = _gbm_universe(3, 0.1, 0.2, 120, seed_tag=55)
+    if fixed:
+        report, _ = run_fixed_strategy_universe(universe, ControlParams(1.0, 2.0, 0.5, 3.0),
+                                                D("2016-03-02"), D("2016-04-30"))
+    else:
+        split = SplitSpec(D("2016-01-01"), D("2016-03-01"), D("2016-03-02"), D("2016-04-30"))
+        report, _ = backtest_universe(universe, split, FixedTarget(0.15),
+                                      GridSpec.default(), Objective.MSE)
+    keys = ({f.name for f in dataclasses.fields(SeriesResult)} - {"params"}
+            | {"i0", "k", "alpha", "beta", "gains", "final_gain"})
+    for row, r in zip(report_to_dict(report)["series"], report.results, strict=True):
+        assert set(row) == keys
+        assert (row["i0"], row["k"], row["alpha"], row["beta"]) == (
+            r.params.i0, r.params.k, r.params.alpha, r.params.beta)
+        assert row["final_gain"] == r.final_gain
+        assert all(type(v) is float for v in row["gains"])
+        np.testing.assert_array_equal(np.array(row["gains"]).view(np.uint64),
+                                      r.gains.view(np.uint64))
+        for key in keys - {"i0", "k", "alpha", "beta", "gains", "final_gain"}:
+            assert row[key] == getattr(r, key)
+        if fixed:
+            assert row["mu_hat"] is row["target"] is row["objective_value"] is None
 
 
 def test_report_to_dict_lazy_rows_equal_the_default_list():

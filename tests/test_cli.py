@@ -621,6 +621,84 @@ def test_a_bad_setting_exits_2_before_any_input_is_read(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["estimate", "optimize"])
+def test_a_bad_train_window_is_reported_before_the_input_is_read(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--in", str(tmp_path / "missing.csv"), "--train-window", "garbage",
+            *(OPTIMIZED if command == "optimize" else []), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --train-window: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, extra, flags", [
+    ("optimized", ["--fixed-alpha", "2"], "--fixed-alpha"),
+    ("optimized", ["--fixed-alpha", "2", "--fixed-beta", "3"], "--fixed-alpha, --fixed-beta"),
+    ("optimized", ["--fixed-beta", "0.5"], "--fixed-beta"),
+    ("sweep", ["--horizon", "3"], "--horizon"),
+    ("sweep", ["--horizon", "3", "--sls-only", "--grid-n", "3"],
+     "--horizon, --grid-n, --sls-only"),
+    ("sweep", ["--dt", "0.01"], "--dt"),
+    ("sweep", ["--grid-min", "1", "--grid-max", "2"], "--grid-min, --grid-max"),
+    ("sweep", ["--objective", "mse", "--target-drift", "0.05"], "--objective, --target-drift"),
+])
+@pytest.mark.parametrize("bad_file", [False, True])
+def test_a_flag_the_backtest_mode_ignores_is_a_usage_error(tmp_path, capsys, mode, extra,
+                                                           flags, bad_file):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    if bad_file:
+        (universe / "zz_bad.csv").write_text("date,close\n2016-01-01,-5\n")
+    out = tmp_path / "out"
+    argv = ["backtest", "--in", str(universe), *BACKTEST_WINDOWS,
+            *(OPTIMIZED if mode == "optimized" else ["--fixed-k", "1"]), *extra]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: --fixed-k runs a parameter sweep; drop " + flags if mode == "sweep"
+                   else "error: only a --fixed-k sweep reads " + flags) + "\n"
+    assert not out.exists()
+
+
+def test_a_config_value_the_backtest_mode_ignores_is_named_by_its_flag(tmp_path, capsys):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fixed_alpha = 0.5\n")
+    out = tmp_path / "out"
+    assert main(["backtest", "--in", str(universe), *BACKTEST_WINDOWS, *OPTIMIZED,
+                 "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: only a --fixed-k sweep reads --fixed-alpha\n"
+    assert "config key" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("optimized", ["--fixed-alpha", "1", "--fixed-beta", "1.0"]),
+    ("sweep", ["--grid-n", "10", "--grid-min", "0.5", "--grid-max", "5"]),
+])
+def test_a_mode_ignored_flag_at_its_default_is_accepted(tmp_path, mode, extra):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    argv = ["backtest", "--in", str(universe), *BACKTEST_WINDOWS,
+            *(OPTIMIZED if mode == "optimized" else ["--fixed-k", "1"])]
+
+    def outputs(name, more):
+        out = tmp_path / name
+        assert main([*argv, *more, "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        del doc["config"]["out"]
+        return doc, {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"}
+
+    assert outputs("with", extra) == outputs("without", [])
+
+
+def test_optimize_with_mu_and_sigma_rejects_a_train_window(tmp_path, capsys):
+    out = tmp_path / "opt.json"
+    assert main(["optimize", "--mu", "0.1", "--sigma", "0.2", *OPTIMIZED,
+                 "--train-window", "2016-01-01:2016-02-01", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --train-window ") and "config key" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, key, line", [
     (["optimize", "--mu", "0.1", "--sigma", "0.2", "--target-fixed", "0.15"], "objective",
      "error: config key objective: invalid choice 'rmse' (choose from bias, mse)"),

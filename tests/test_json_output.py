@@ -8,7 +8,11 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +127,26 @@ def test_one_stripe_forks_nothing(monkeypatch, stripes):
     monkeypatch.setattr(os, "fork", no_fork)
     payload = {"series": [{"gains": [1.0, 2.5]}] * 3}
     assert _streamed(_lazy(payload)) == _expected(payload)
+
+
+def test_one_stripe_never_imports_multiprocessing(tmp_path):
+    # a fresh interpreter, since this one imported multiprocessing at the top of this file
+    code = textwrap.dedent("""
+        import sys
+        from gsls import cli
+        cli._cpus = lambda: 1
+        cli._write_json({"series": iter([{"gains": [1.0, 2.5]}, None])}, sys.argv[1])
+        cli._write_json({"series": iter([[0.5]])}, None)
+        assert "multiprocessing" not in sys.modules, "imported multiprocessing"
+    """)
+    path = tmp_path / "out.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == _expected({"series": [[0.5]]})
+    assert path.read_text() == _expected({"series": [{"gains": [1.0, 2.5]}, None]})
 
 
 def test_the_stripe_count_is_the_cpus_this_process_may_use(monkeypatch):

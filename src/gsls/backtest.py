@@ -32,7 +32,6 @@ from .optimizer import (
     NoFiniteObjectiveError,
     Objective,
     TargetPolicy,
-    _GridPoints,
     _search,
     grid_search,  # noqa: F401  perfbench/child.py wraps backtest.grid_search by name
 )
@@ -423,7 +422,7 @@ def _run_stages(universe, windows, prepare, choose, skip_errors: bool, truncate:
         columns = np.array([(p.i0, p.k, p.alpha, p.beta) for _, _, (p, _) in group])
         # an overflowing row is reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            gains = run_strategy(_GridPoints(*columns.T[:, :, None]),
+            gains = run_strategy(ControlParams(*columns.T[:, :, None]),
                                  np.stack([prices for _, prices, _ in group])).gain
         finite = np.isfinite(gains).all(axis=1)
         for (i, _, (params, fields)), row, ok in zip(group, gains, finite):

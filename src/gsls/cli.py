@@ -30,8 +30,7 @@ from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, backtest
                        write_csv, write_daily_columns, write_daily_csv, write_summary_csv)
 from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate_paths
 from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
-                        Objective, _check_search_horizon, _GridPoints, grid_search,
-                        policy_label)
+                        Objective, _check_search_horizon, grid_search, policy_label)
 from .strategy import ControlParams, _usable_cpus, gain_total_closed
 
 __all__ = ["main"]
@@ -407,17 +406,17 @@ SWEEP_ONLY = {"fixed_alpha", "fixed_beta"}
 
 
 def _cmd_backtest(s: dict) -> None:
-    _need(s, "in", "out", "train_window", "test_window")
-    _check(s)
     sweep, runners = s["fixed_k"] is not None, {}
+    # a sweep trades the test window alone; a training window given to it is still checked
+    _need(s, "in", "out", *([] if sweep else ["train_window"]), "test_window")
+    _check(s)
     stray = ", ".join(_flag(key) for key, _, default, _ in BACKTEST
                       if key in (OPTIMIZED_ONLY if sweep else SWEEP_ONLY) and s[key] != default)
     if stray:
         raise UsageError(f"--fixed-k runs a parameter sweep; drop {stray}" if sweep
                          else f"only a --fixed-k sweep reads {stray}")
-    grid = _grid(s)
-    split = SplitSpec(*_parse_window(s["train_window"], "--train-window"),
-                      *_parse_window(s["test_window"], "--test-window"))
+    train, test = (None if s[key] is None else _parse_window(s[key], _flag(key))
+                   for key in ("train_window", "test_window"))
     if not Path(s["in"]).is_dir():
         raise UsageError(f"--in: not a directory: {s['in']}")
     if not any(Path(s["in"]).glob("*.csv")):
@@ -431,8 +430,9 @@ def _cmd_backtest(s: dict) -> None:
             if label in runners:
                 raise UsageError(f"duplicate strategy {label} in --fixed-k")
             runners[label] = partial(run_fixed_strategy_universe, params=params,
-                                     start=split.test_start, end=split.test_end)
+                                     start=test[0], end=test[1])
     else:
+        split, grid = SplitSpec(*train, *test), _grid(s)
         objective, policy = _objective(s), _policy(s)
         runners[f"{objective.value}_{policy_label(policy)}"] = partial(
             backtest_universe, split=split, policy=policy, grid=grid, objective=objective,
@@ -569,9 +569,9 @@ def _plot_gain_vs_k(s: dict) -> None:
     grid = _grid(s)
     gp = GbmParams(s["mu"], s["sigma"], s["dt"])
     t, k = s["horizon"], np.array(grid.k_values)
-    ControlParams(s["i0"], k[0], s["alpha"], s["beta"])  # a bad i0, alpha or beta fails here
-    # the k axis, scored in one evaluation as grid_search scores a grid, under its errstate
-    points = _GridPoints(s["i0"], k, np.full_like(k, s["alpha"]), np.full_like(k, s["beta"]))
+    # the k axis, scored in one evaluation as grid_search scores a grid, under its errstate;
+    # a bad i0, alpha or beta fails here
+    points = ControlParams(s["i0"], k, s["alpha"], s["beta"])
     with np.errstate(over="ignore", invalid="ignore"):
         mean, var = expected_gain(points, gp, t), gain_variance(points, gp, t)
         bias = mean - s["target_fixed"]

@@ -160,22 +160,6 @@ def expected_gain(cp: ControlParams, gp: GbmParams, t):
     return gain_total_closed(cp, np.exp(gp.mu * t))
 
 
-def _variance_term(scale, a, b):
-    """scale * e**a * (e**b - 1), one term of the gain variance.
-
-    The product reads 0 * inf = NaN in two places where the term is not
-    NaN.  Where b == 0 (sigma == 0), e**b - 1 is exactly 0, so the term is 0
-    even where e**a overflows.  Where e**a underflows to 0 while e**b - 1
-    overflows, e**b - 1 equals e**b to double precision, so the term is
-    scale * e**(a + b).
-    """
-    term = scale * np.exp(a) * np.expm1(b)
-    nan = np.isnan(term)
-    if nan.any():
-        term = np.where(nan, np.where(b == 0.0, 0.0, scale * np.exp(a + b)), term)
-    return term
-
-
 def gain_variance(cp: ControlParams, gp: GbmParams, t):
     """Variance of the strategy gain at horizon t under GBM.
 
@@ -189,9 +173,10 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     The last term is twice the long-short covariance scaled by c; it is
     non-positive because the books hedge each other.  The variance is zero
     iff sigma == 0 or t == 0.  Where a factor of the product form overflows,
-    it reads inf, or inf - inf when a book's term meets the covariance; those
-    entries alone are summed in log space, so only a true overflow stays
-    non-finite, as +inf.
+    it reads inf, inf - inf when a book's term meets the covariance, or
+    0 * inf; those entries alone are summed in log space, so only a true
+    overflow stays non-finite, as +inf.  Where sigma**2*t is tiny the terms
+    cancel to O((sigma**2*t)**2), and a sum that rounding leaves below 0 reads 0.
     cp may carry arrays of gains; the square is np.square so that a scalar
     and an array round it the same way.
     """
@@ -205,17 +190,19 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     terms = [(1.0, 2.0 * k * m * t, k * k * s2 * t),
              (c * c, -2.0 * ks * m * t, ks * ks * s2 * t),
              (c, (k - ks) * m * t, -(k * ks) * s2 * t)]
-    var_long, var_short, cov = (_variance_term(*term) for term in terms)
+    var_long, var_short, cov = (scale * np.exp(a) * np.expm1(b) for scale, a, b in terms)
     var = np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)
     bad = ~np.isfinite(var)
     if bad.any():
-        # a term overflowed (inf, or inf - inf against the covariance); there,
-        # sum the terms scaled by the largest, whose logs do not overflow
+        # at those entries, sum the terms scaled by the largest, whose logs do not overflow
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # ln|w * scale * e**a * (e**b - 1)| with the sum's weights w = 1, 1, -2
-            logs = [np.log(w * scale) + a + np.maximum(b, 0.0) + np.log(-np.expm1(-np.abs(b)))
+            # ln|w * scale * e**a * (e**b - 1)| with the sum's weights w = 1, 1, -2,
+            # adding a and b first, as the product form's e**(a + b) would
+            logs = [a + np.maximum(b, 0.0) + (np.log(w * scale) + np.log(-np.expm1(-np.abs(b))))
                     for w, (scale, a, b) in zip((1.0, 1.0, 2.0), terms)]
             top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
             rel = np.exp(logs[0] - top) + np.exp(logs[1] - top) - np.exp(logs[2] - top)
-            var = np.where(bad, np.exp(2.0 * np.log(cp.i0 / k) + top + np.log(rel)), var)[()]
-    return var
+            # every term is 0 where top is -inf: b == 0, as at sigma == 0
+            log_var = np.where(top == -np.inf, -np.inf, 2.0 * np.log(cp.i0 / k) + top + np.log(rel))
+            var = np.where(bad, np.exp(log_var), var)[()]
+    return np.maximum(var, 0.0)

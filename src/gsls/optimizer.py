@@ -4,9 +4,9 @@ Given estimated GBM dynamics and a target gain g*, score every grid point
 (k, alpha, beta) by either the squared expected-gain shortfall (bias**2) or
 the mean squared error bias**2 + variance, and keep the best.  The search
 is exhaustive and deterministic: ties resolve to the smallest k, then
-alpha, then beta.  The whole grid, for a chunk of series at once, is scored
-in one array evaluation of the same closed forms that score a single
-ControlParams.
+alpha, then beta.  The whole grid, for a chunk of series at once, is one
+ControlParams of arrays, scored in one evaluation of the same closed forms
+that score a single point.
 """
 
 from __future__ import annotations
@@ -170,25 +170,12 @@ class NoFiniteObjectiveError(ValueError):
     """No grid point has a finite objective value, so no parameter set can win."""
 
 
-class _GridPoints(NamedTuple):
-    """A grid as parallel arrays, in the attribute shape of ControlParams.
-
-    The closed forms read only i0, k, alpha, beta and k_short, so passing
-    this in place of a ControlParams scores every point in one evaluation.
-    """
-
-    i0: float
-    k: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    @property
-    def k_short(self) -> np.ndarray:
-        return self.beta * self.k
+# the grid's former parameter type, kept as a name for code that imports it
+_GridPoints = ControlParams
 
 
-def _objective_value(cp: ControlParams | _GridPoints, gp: GbmParams, t: float,
-                     target: float, objective: Objective):
+def _objective_value(cp: ControlParams, gp: GbmParams, t: float, target: float,
+                     objective: Objective):
     if objective is Objective.MSE:
         return trading_mse(cp, gp, t, target)
     b = trading_bias(cp, gp, t, target)
@@ -247,13 +234,13 @@ def _search(gps, ts, policy: TargetPolicy, grid: GridSpec, objective: Objective,
     """
     for t in ts:
         _check_search_horizon(t)
-    if gps:
-        # a bad i0 fails here with its own message, not as a grid of NaN
-        ControlParams(i0, grid.k_values[0], grid.alpha_values[0], grid.beta_values[0])
+    if not gps:
+        return []
+    # a bad i0 fails here with its own message, not as a grid of NaN
+    points = ControlParams(i0, *np.ix_(grid.k_values, grid.alpha_values, grid.beta_values))
     targets = [resolve_target(policy, gp) for gp in gps]
     mu, sigma, t, target = (np.array(column, dtype=float).reshape(-1, 1, 1, 1) for column in (
         [gp.mu for gp in gps], [gp.sigma for gp in gps], ts, targets))
-    points = _GridPoints(i0, *np.ix_(grid.k_values, grid.alpha_values, grid.beta_values))
     combos = list(grid.combos())
     results = [None] * len(gps)
     with np.errstate(over="ignore", invalid="ignore"):

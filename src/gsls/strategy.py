@@ -49,27 +49,33 @@ __all__ = [
 class ControlParams:
     """Controller parameters: initial investment i0 and gains k, alpha, beta.
 
-    All four must be strictly positive and finite.  The long book trades
-    with feedback gain k_long = k, the short book with k_short = beta*k.
+    All four must be strictly positive and finite.  Each is a number or an
+    array, and arrays broadcast: one ControlParams holds a point, a grid as
+    np.ix_ axes, or one column per path.  The long book trades with
+    feedback gain k_long = k, the short book with k_short = beta*k.
     """
 
-    i0: float
-    k: float
-    alpha: float = 1.0
-    beta: float = 1.0
+    i0: float | np.ndarray
+    k: float | np.ndarray
+    alpha: float | np.ndarray = 1.0
+    beta: float | np.ndarray = 1.0
 
     def __post_init__(self) -> None:
         for name in ("i0", "k", "alpha", "beta"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if isinstance(value, np.ndarray):  # NaN fails both comparisons
+                ok = np.all((value > 0.0) & (value < math.inf))
+            else:  # math: about 100x faster than numpy on the number a backtest builds per series
+                ok = math.isfinite(value) and value > 0.0
+            if not ok:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     @property
-    def k_long(self) -> float:
+    def k_long(self):
         return self.k
 
     @property
-    def k_short(self) -> float:
+    def k_short(self):
         return self.beta * self.k
 
 
@@ -93,7 +99,7 @@ def _power(q: np.ndarray, e):
     Given one exponent for many bases, numpy replaces pow by 1/q, sqrt(q)
     or q*q at -1, 0.5 and 2, which differ from pow in the last bit on some
     q near 1.  An exponent array of the result's own shape keeps pow, so a
-    ControlParams and a grid holding it give the same bits.
+    ControlParams of numbers and one of arrays holding them give the same bits.
     """
     e = np.asarray(e, dtype=float)
     shape = np.broadcast_shapes(q.shape, e.shape)
@@ -117,7 +123,7 @@ def gain_short_closed(params: ControlParams, q):
     """Closed-form cumulative gain of the short book at price ratio q."""
     q = np.asarray(q)
     _check_ratio(q)
-    ks = params.beta * params.k
+    ks = params.k_short
     return (params.alpha * params.i0) / ks * (_power(q, -ks) - 1.0)
 
 
@@ -142,7 +148,7 @@ def feedback_gain_partials(params: ControlParams, q):
     q = np.asarray(q)
     _check_ratio(q)
     kl = params.k
-    ks = params.beta * params.k
+    ks = params.k_short
     lnq = np.log(q)
     d_long = params.i0 * (_power(q, kl) * (kl * lnq - 1.0) + 1.0) / kl**2
     d_short = params.alpha * params.i0 * (_power(q, -ks) * (-ks * lnq - 1.0) + 1.0) / ks**2
@@ -271,8 +277,8 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
     so halving the step halves the error.
 
     prices may be any array with time along the last axis; leading axes are
-    treated as independent paths.  params may be a ControlParams or hold one
-    value per path, as arrays that broadcast to prices.shape[:-1] + (1,).
+    treated as independent paths.  Each field of params is a number or holds
+    one value per path, as an array that broadcasts to prices.shape[:-1] + (1,).
 
     A run allocates the two investments and the gain, and one scratch
     buffer of one block per thread.  It works through the paths in blocks

@@ -835,3 +835,126 @@ def test_plotdata_rejects_malformed_strategies(tmp_path, capsys, strategies):
                  "--out", str(out)]) == 3
     assert "data error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_sweep_needs_no_train_window(tmp_path):
+    universe = _simulate(tmp_path, count=3, steps=60)
+    sweep = ["backtest", "--in", str(universe), "--fixed-k", "1,2", "--fixed-alpha", "0.5"]
+
+    def outputs(name, windows):
+        out = tmp_path / name
+        assert main([*sweep, *windows, "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        return doc, {p.name: p.read_bytes() for p in out.iterdir() if p.name != "report.json"}
+
+    with_doc, with_files = outputs("with", BACKTEST_WINDOWS)
+    without_doc, without_files = outputs("without", BACKTEST_WINDOWS[2:])
+    assert sorted(with_files) == ["daily_aggregate_gsls_k1_a0.5_b1.csv",
+                                  "daily_aggregate_gsls_k2_a0.5_b1.csv", "summary.csv"]
+    assert without_files == with_files
+    # the config echo differs in the two settings given; nothing else does
+    assert (with_doc["config"].pop("train_window"), with_doc["config"].pop("out")) == (
+        BACKTEST_WINDOWS[1], str(tmp_path / "with"))
+    assert (without_doc["config"].pop("train_window"), without_doc["config"].pop("out")) == (
+        None, str(tmp_path / "without"))
+    assert without_doc == with_doc
+    # a training window that overlaps the test window is not read, so it is no error
+    assert main([*sweep, "--train-window", "2016-01-01:2016-02-20", *BACKTEST_WINDOWS[2:],
+                 "--out", str(tmp_path / "overlap")]) == 0
+    assert (tmp_path / "overlap" / "summary.csv").read_bytes() == with_files["summary.csv"]
+
+
+def test_a_sweep_still_rejects_a_malformed_train_window(tmp_path, capsys):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    (universe / "zz_bad.csv").write_text("date,close\n2016-01-01,-5\n")
+    out = tmp_path / "out"
+    assert main(["backtest", "--in", str(universe), "--fixed-k", "1", "--train-window",
+                 "garbage", *BACKTEST_WINDOWS[2:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --train-window: expected YYYY-MM-DD:YYYY-MM-DD, got 'garbage'\n")
+    assert not out.exists()
+
+
+def test_an_optimized_backtest_still_needs_a_train_window(tmp_path, capsys):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    out = tmp_path / "out"
+    assert main(["backtest", "--in", str(universe), *BACKTEST_WINDOWS[2:], *OPTIMIZED,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: missing required setting --train-window\n"
+    assert not out.exists()
+
+
+OPTIMIZE_MSE = ["optimize", "--mu", "0.1", "--sigma", "0.2", *OPTIMIZED]
+
+
+def test_config_booleans_read_off_and_no_and_reject_anything_else(tmp_path, capsys):
+    expected = tmp_path / "expected.json"
+    assert main([*OPTIMIZE_MSE, "--out", str(expected)]) == 0
+    cfg = tmp_path / "run.cfg"
+    for off in ("no", "off", "OFF"):
+        cfg.write_text(f"sls_only = {off}\ntable = no\n")
+        out = tmp_path / "got.json"
+        assert main([*OPTIMIZE_MSE, "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["sls_only"] is False and doc["config"]["table"] is False
+        assert doc["result"] == json.loads(expected.read_text())["result"]
+    cfg.write_text("sls_only = maybe\n")
+    assert main([*OPTIMIZE_MSE, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: config key sls_only: not a boolean: 'maybe'\n"
+
+
+def test_simulate_rejects_a_malformed_start_date(tmp_path, capsys):
+    out = tmp_path / "u"
+    assert main(["simulate", "--mu", "0.1", "--sigma", "0.2", "--start", "garbage",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --start: expected YYYY-MM-DD, got 'garbage'\n"
+    assert not out.exists()
+
+
+def test_config_file_errors_and_comments(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "u")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {missing}: ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment-only line\n   # another\n\nmu = 0.1  # drift\nsigma = 0.2\n")
+    assert main(["simulate", "--config", str(cfg), "--steps", "5",
+                 "--out", str(tmp_path / "u")]) == 0
+    manifest = json.loads((tmp_path / "u" / "manifest.json").read_text())
+    assert (manifest["config"]["mu"], manifest["config"]["sigma"]) == (0.1, 0.2)
+    cfg.write_text("mu = 0.1\nsigma 0.2\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value', got 'sigma 0.2'\n"
+    assert not (tmp_path / "v").exists()
+
+
+def test_estimate_on_a_two_price_window_is_a_data_error_naming_the_series(tmp_path, capsys):
+    universe = _simulate(tmp_path, count=1, steps=60)
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--in", str(universe / "series_0000.csv"),
+                 "--train-window", "2016-01-01:2016-01-02", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "data error: series_0000: estimation needs a 1-d series of at least 3 prices\n")
+    assert not out.exists()
+
+
+def test_plotdata_rejects_a_json_array_and_a_report_without_daily(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "out.csv"
+    assert main(["plotdata", "--kind", "daily", "--in", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: expected a JSON object\n"
+    assert _plot_report(tmp_path, "daily", {"series": []}) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'bad.json'}: report contains no daily aggregates\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--q-min", "3", "--q-max", "1"], "need 0 < --q-min <= --q-max, got 3.0, 1.0"),
+    (["--q-n", "0"], "--q-n must be >= 1"),
+])
+def test_plotdata_gain_vs_q_rejects_a_bad_ratio_range(tmp_path, capsys, extra, message):
+    out = tmp_path / "q.csv"
+    assert main(["plotdata", "--kind", "gain-vs-q", "--k", "1", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gsls import gbm as gbm_module
@@ -411,3 +411,46 @@ def test_gain_moments_raise_or_are_never_nan(mu, sigma, t, k, alpha, beta):
             except ValueError:  # e**(mu*t) underflows to 0: the mean is undefined
                 continue
         assert not math.isnan(value)
+
+
+def _points(k, alpha, beta):
+    """ControlParams of one point per (k, alpha, beta) triple, as arrays."""
+    return ControlParams(1.0, *(np.array(axis) for axis in (k, alpha, beta)))
+
+
+EXTREME_POINTS = st.lists(st.tuples(EXTREME_GAIN, EXTREME_GAIN, EXTREME_GAIN),
+                          min_size=1, max_size=6)
+EXTREME_MU = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 60.0, -60.0, 400.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mu=EXTREME_MU, sigma=st.floats(0.0, 50.0), t=st.floats(0.0, 100.0),
+       points=EXTREME_POINTS)
+# alpha = 1 at mu = 0: the terms cancel to about 1e-380, and the product form read -2.9e-211
+@example(mu=0.0, sigma=1.0, t=1.0826920824133997e-195, points=[(412.46653662392333, 1.0, 3.0)])
+def test_gain_variance_is_never_nan_or_negative(mu, sigma, t, points):
+    gp = GbmParams(mu, sigma)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        grid = gain_variance(_points(*zip(*points)), gp, t)
+        scalars = [gain_variance(ControlParams(1.0, *point), gp, t) for point in points]
+    assert not np.isnan(grid).any() and not (grid < 0.0).any()
+    # the scalar API gives the grid's bits
+    np.testing.assert_array_equal(np.array(scalars).view(np.uint64), grid.view(np.uint64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mu=EXTREME_MU, t=st.floats(0.0, 100.0), points=EXTREME_POINTS)
+def test_expected_gain_is_the_closed_form_at_e_to_the_mu_t(mu, t, points):
+    gp = GbmParams(mu, 0.3)
+    for cp in [_points(*zip(*points)), *(ControlParams(1.0, *point) for point in points)]:
+        with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+            q = np.exp(gp.mu * t)
+            try:
+                closed = gain_total_closed(cp, q)
+            except ValueError:  # e**(mu*t) underflows to 0
+                with pytest.raises(ValueError):
+                    expected_gain(cp, gp, t)
+                continue
+            mean = expected_gain(cp, gp, t)
+        np.testing.assert_array_equal(np.asarray(mean).view(np.uint64),
+                                      np.asarray(closed).view(np.uint64))

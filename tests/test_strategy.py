@@ -51,6 +51,24 @@ def test_control_params_rejects_non_positive_or_non_finite(kwargs):
         ControlParams(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["i0", "k", "alpha", "beta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_control_params_rejects_one_bad_entry_of_an_array_field(field, bad):
+    values = {name: np.full((4, 1), 1.5) for name in ("i0", "k", "alpha", "beta")}
+    values[field][2, 0] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got array"):
+        ControlParams(**values)
+
+
+def test_control_params_accepts_row_columns_and_grid_axes():
+    columns = ControlParams(*np.random.default_rng(5).uniform(0.3, 3.0, (4, 7, 1)))
+    assert columns.k_short.shape == (7, 1)
+    np.testing.assert_array_equal(columns.k_short, columns.beta * columns.k)
+    grid = ControlParams(1.0, *np.ix_([0.5, 1.0], [0.5, 1.0, 2.0], [1.0, 3.0, 4.0, 5.0]))
+    assert grid.k_short.shape == (2, 1, 4)
+    assert np.broadcast_shapes(grid.k.shape, grid.alpha.shape, grid.beta.shape) == (2, 3, 4)
+
+
 def test_gain_long_closed_value():
     # (1/3) * (1.5**3 - 1) = 2.375/3
     p = ControlParams(i0=1.0, k=3.0)

@@ -16,9 +16,11 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import os
+import signal
 import sys
 from bisect import bisect_left, bisect_right
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields
 from datetime import date
 from itertools import count
@@ -35,7 +37,7 @@ from .optimizer import (
     _search,
     grid_search,  # noqa: F401  perfbench/child.py wraps backtest.grid_search by name
 )
-from .strategy import ControlParams, run_strategy
+from .strategy import ControlParams, _usable_cpus, run_strategy
 
 __all__ = [
     "BacktestReport",
@@ -96,13 +98,17 @@ class PriceSeries:
         hi = bisect_right(self.dates, end)
         if lo >= hi:
             raise DataError(f"{self.symbol}: no observations in {start}..{end}")
-        # a slice of a checked series is already ordered, positive and finite,
-        # so skip __post_init__ and its per-date scan
-        sub = object.__new__(PriceSeries)
-        object.__setattr__(sub, "symbol", self.symbol)
-        object.__setattr__(sub, "dates", self.dates[lo:hi])
-        object.__setattr__(sub, "prices", self.prices[lo:hi])
-        return sub
+        # a slice of a checked series is already ordered, positive and finite
+        return PriceSeries._checked(self.symbol, self.dates[lo:hi], self.prices[lo:hi])
+
+    @classmethod
+    def _checked(cls, symbol: str, dates: tuple[date, ...], prices: np.ndarray) -> "PriceSeries":
+        """A series from fields already checked, without __post_init__ and its per-date scan."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "symbol", symbol)
+        object.__setattr__(series, "dates", dates)
+        object.__setattr__(series, "prices", prices)
+        return series
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,17 @@ def load_series(path) -> PriceSeries:
     any such file the bulk pass rejects, goes through the row loop, which
     therefore decides every error message.
     """
-    path = Path(path)
+    calendars: dict[str, tuple[date, ...]] = {}
+    return _series(*_columns(Path(path), calendars), calendars)
+
+
+def _columns(path: Path, calendars: dict) -> tuple[str, str, bytes]:
+    """load_series's checked parse of one file, as a compact message.
+
+    The message is the symbol, the date column's cells joined by newlines
+    (the row loop's dates as ISO text) and the prices' bytes; _series turns
+    it back into the PriceSeries.  Dates go through the calendars memo.
+    """
     try:
         text = path.read_text()
     except OSError as exc:
@@ -151,14 +167,39 @@ def load_series(path) -> PriceSeries:
         # every line holds exactly one comma; a total comma count would let
         # "d,5,d" and "7" pass as two rows
         if "\n".join(map(",".join, zip(days, closes))) == body:
+            column = "\n".join(days)
             try:
-                dates = tuple(map(date.fromisoformat, map(str.strip, days)))
+                _calendar(column, calendars)
                 prices = np.fromiter(map(float, closes), float, len(closes))
-                # PriceSeries checks order and prices; its DataError is a ValueError
-                return PriceSeries(path.stem, dates, prices)
+                if np.all(np.isfinite(prices) & (prices > 0.0)):
+                    return path.stem, column, prices.tobytes()
             except ValueError:
                 pass  # the loop finds the offending row and words the error
-    return _load_rows(path, lines)
+    series = _load_rows(path, lines)
+    return series.symbol, "\n".join(map(date.isoformat, series.dates)), series.prices.tobytes()
+
+
+def _calendar(column: str, calendars: dict) -> tuple[date, ...]:
+    """The dates of a date column given as its cells joined by newlines.
+
+    calendars maps each column already parsed to its dates, so a column is
+    parsed and checked to be strictly increasing once, and series with equal
+    columns share one dates tuple.  A bad or out-of-order column raises
+    ValueError and is not kept.
+    """
+    dates = calendars.get(column)
+    if dates is None:
+        dates = tuple(map(date.fromisoformat, map(str.strip, column.split("\n"))))
+        if not all(map(operator.lt, dates, dates[1:])):
+            raise ValueError("dates must be strictly increasing")
+        calendars[column] = dates
+    return dates
+
+
+def _series(symbol: str, column: str, prices: bytes, calendars: dict) -> PriceSeries:
+    """The PriceSeries of a _columns message, its dates from the calendars memo."""
+    return PriceSeries._checked(symbol, _calendar(column, calendars),
+                                np.frombuffer(prices).copy())
 
 
 def _load_rows(path: Path, lines: list[str]) -> PriceSeries:
@@ -211,21 +252,117 @@ def load_universe(path, skip_errors: bool = False) -> tuple[list[PriceSeries], d
     """Load every ``*.csv`` under path, sorted by file name.
 
     Returns the loaded series plus a {file name: reason} map of rejects.
-    Without skip_errors the first bad file aborts the load.
+    Without skip_errors the first bad file in name order aborts the load.
+
+    The files are parsed in stripes, one per CPU this process may use
+    (_cpus): forked children parse every n-th file and send back only its
+    symbol, its date cells and its price bytes.  Equal date columns are
+    parsed once, so series that share a calendar share one dates tuple.
+    Under ``taskset -c 0`` nothing forks, and the series never depend on
+    the number of CPUs.
     """
     root = Path(path)
     files = sorted(root.glob("*.csv"))
     if not files:
         raise DataError(f"{root}: no CSV files found")
-    universe, failures = [], {}
-    for file in files:
+    calendars: dict[str, tuple[date, ...]] = {}
+
+    def read(file: Path):
         try:
-            universe.append(load_series(file))
+            return _columns(file, calendars)
         except DataError as exc:
-            if not skip_errors:
-                raise
-            failures[file.name] = str(exc)
+            return exc
+
+    universe, failures = [], {}
+    with closing(_striped(read, files, _cpus())) as messages:
+        for file, message in zip(files, messages, strict=True):
+            if not isinstance(message, DataError):
+                universe.append(_series(*message, calendars))
+            elif skip_errors:
+                failures[file.name] = str(message)
+            else:
+                raise message
     return universe, failures
+
+
+def _cpus() -> int:
+    """Stripes of a _striped map: the CPUs this process may run on, 1 without fork.
+
+    load_universe and the report.json writer use this many processes; under
+    ``taskset -c 0`` they use one and never fork.  Their output never
+    depends on it.
+    """
+    return _usable_cpus() if hasattr(os, "fork") else 1
+
+
+def _striped(fn, items, stripes: int):
+    """Yield fn(item) for each of items, in order, with item i computed by stripe i % stripes.
+
+    Stripe 0 is this process.  Stripe j > 0 is a forked child that walks its
+    own copy of items and sends fn(item) for items j, j + stripes, ...
+    through its own pipe, or the exception raised for one in its place,
+    which is raised here at that item.  So items and fn need not pickle,
+    the results must, and this process holds about one result per pipe.
+    Every child is reaped on every way out, once the generator is exhausted
+    or closed, so callers close it.  One stripe is a plain loop, which
+    neither imports multiprocessing nor forks.
+    """
+    children = []
+    try:
+        if stripes > 1:
+            import multiprocessing
+
+            # fork, whatever the platform's default, so children inherit fn and items
+            fork = multiprocessing.get_context("fork")
+            sys.stdout.flush()  # a child flushes both streams as it exits
+            sys.stderr.flush()
+            for stripe in range(1, stripes):
+                recv, send = fork.Pipe(duplex=False)
+                with send:
+                    child = fork.Process(target=_stripe, args=(fn, items, stripe, stripes, send))
+                    child.start()
+                children.append((child, recv))
+        for i, item in enumerate(items):
+            yield _receive(*children[i % stripes - 1], last=False) if i % stripes else fn(item)
+        for child in children:
+            _receive(*child, last=True)
+    finally:
+        for child, recv in children:
+            child.kill()
+            child.join()
+            child.close()
+            recv.close()
+
+
+def _stripe(fn, items, stripe: int, stripes: int, send) -> None:
+    """A stripe's child: send (fn(item),) for items stripe, stripe + stripes, ..., then None.
+
+    An exception goes to the parent in place of the next result.  The
+    parent alone handles an interrupt, and kills this child.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        for i, item in enumerate(items):
+            if i % stripes == stripe:
+                send.send((fn(item),))
+    except Exception as exc:
+        send.send(exc)
+    else:
+        send.send(None)
+
+
+def _receive(child, recv, last: bool):
+    """A stripe's next result, or its end mark when last; raises what the child raised."""
+    try:
+        message = recv.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(f"stripe process exited with code {child.exitcode}") from None
+    if isinstance(message, BaseException):
+        raise message
+    if (message is None) != last:
+        raise ChildProcessError("stripe processes disagree on the number of items")
+    return None if last else message[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import signal
 import sys
 from collections.abc import Iterator
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from datetime import date, timedelta
 from functools import partial
 from pathlib import Path
@@ -25,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, backtest_universe,
-                       load_series, load_universe, report_to_dict, run_fixed_strategy_universe,
-                       write_csv, write_daily_columns, write_daily_csv, write_summary_csv)
+from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, _cpus, _striped,
+                       backtest_universe, load_series, load_universe, report_to_dict,
+                       run_fixed_strategy_universe, write_csv, write_daily_columns,
+                       write_daily_csv, write_summary_csv)
 from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate_paths
 from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
                         Objective, _check_search_horizon, grid_search, policy_label)
-from .strategy import ControlParams, _usable_cpus, gain_total_closed
+from .strategy import ControlParams, gain_total_closed
 
 __all__ = ["main"]
 
@@ -156,21 +155,21 @@ def _need(s: dict, *keys: str) -> None:
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
-def _cpus() -> int:
-    """Processes that encode a lazy list: the CPUs this process may run on, 1 without fork."""
-    return _usable_cpus() if hasattr(os, "fork") else 1
-
-
 def _stream_json(value, write, stripes: int = 1) -> None:
     """write() the text of json.dumps(value, sort_keys=True, default=str) in pieces.
 
     A dict goes key by key (keys must be str) and an iterator as a list item
     by item, so an iterator's items exist one at a time; any other value is
     one piece.  With stripes > 1, an iterator that is not an item of another
-    one has its items encoded by that many processes (see _stream_striped).
+    one has its items encoded by that many processes (backtest._striped),
+    and this process writes them in order.
     """
     if isinstance(value, Iterator):
-        _stream_striped(value, write, stripes)
+        write("[")
+        with closing(_striped(_encode, value, stripes)) as texts:
+            for i, text in enumerate(texts):
+                write(", " + text if i else text)
+        write("]")
     elif isinstance(value, dict):
         write("{")
         for i, key in enumerate(sorted(value)):
@@ -181,81 +180,11 @@ def _stream_json(value, write, stripes: int = 1) -> None:
         write(_ENCODER.encode(value))
 
 
-def _stream_striped(items: Iterator, write, stripes: int) -> None:
-    """_stream_json's list of items, with item i encoded by stripe i % stripes.
-
-    Stripe 0 is this process.  Stripe j > 0 is a forked child that walks its
-    own copy of items and sends the text of items j, j + stripes, ... through
-    its own pipe, so this process writes every item in order and holds about
-    one item per pipe.  Every child is reaped on every way out.  One stripe
-    is a plain loop, which neither imports multiprocessing nor forks.
-    """
-    children = []
-    try:
-        if stripes > 1:
-            import multiprocessing
-
-            # fork, whatever the platform's default: children inherit items, which cannot be pickled
-            fork = multiprocessing.get_context("fork")
-            sys.stdout.flush()  # a child flushes both streams as it exits
-            sys.stderr.flush()
-            for stripe in range(1, stripes):
-                recv, send = fork.Pipe(duplex=False)
-                with send:
-                    child = fork.Process(target=_encode_stripe, args=(items, stripe, stripes, send))
-                    child.start()
-                children.append((child, recv))
-        write("[")
-        for i, item in enumerate(items):
-            if i:
-                write(", ")
-            if i % stripes:
-                write(_receive(*children[i % stripes - 1], last=False))
-            else:
-                _stream_json(item, write)
-        for child in children:
-            _receive(*child, last=True)
-        write("]")
-    finally:
-        for child, recv in children:
-            child.kill()
-            child.join()
-            child.close()
-            recv.close()
-
-
-def _encode_stripe(items: Iterator, stripe: int, stripes: int, send) -> None:
-    """A stripe's child: send the text of items stripe, stripe + stripes, ..., then None.
-
-    An exception goes to the parent in place of the next item.  The parent
-    alone handles an interrupt, and kills this child.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        for i, item in enumerate(items):
-            if i % stripes == stripe:
-                pieces = []
-                _stream_json(item, pieces.append)
-                send.send("".join(pieces))
-    except Exception as exc:
-        send.send(exc)
-    else:
-        send.send(None)
-
-
-def _receive(child, recv, last: bool) -> str | None:
-    """A stripe's next item text, or its end mark when last; raises what the child raised."""
-    try:
-        message = recv.recv()
-    except EOFError:
-        child.join()
-        raise ChildProcessError(f"report encoder process exited with code {child.exitcode}") \
-            from None
-    if isinstance(message, BaseException):
-        raise message
-    if (message is None) != last:
-        raise ChildProcessError("report encoder processes disagree on the number of items")
-    return message
+def _encode(value) -> str:
+    """The text _stream_json writes for value, in one process."""
+    pieces: list[str] = []
+    _stream_json(value, pieces.append)
+    return "".join(pieces)
 
 
 def _write_json(payload: dict, out: str | None) -> None:

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import warnings
 from datetime import date, timedelta
 
@@ -281,6 +283,148 @@ def test_load_universe_skip_records_a_field_over_the_csv_size_limit(tmp_path):
 def test_load_universe_empty_directory(tmp_path):
     with pytest.raises(DataError, match="no CSV files"):
         load_universe(tmp_path)
+
+
+@pytest.fixture
+def stripes(request, monkeypatch):
+    """The processes that load_universe parses files with, forced to request.param."""
+    monkeypatch.setattr(backtest_module, "_cpus", lambda: request.param)
+    yield request.param
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _csv_text(days, prices, end="\n"):
+    rows = zip(days, np.asarray(prices, dtype=float).tolist())
+    return end.join(["date,close", *(f"{d},{p!r}" for d, p in rows)]) + end
+
+
+def _mixed_universe(root):
+    """Clean files on two calendars, row-loop files and bad files, in one directory."""
+    short = [d.isoformat() for d in _days("2016-01-01", 40)]
+    long = [d.isoformat() for d in _days("2015-06-01", 90)]
+    rng = np.random.default_rng(31)
+    files = {}
+    for i in range(9):
+        days = long if i % 3 == 2 else short
+        files[f"clean_{i}.csv"] = _csv_text(days, 100.0 * np.exp(rng.normal(0, 0.01, len(days))
+                                                                 .cumsum()))
+    prices = rng.uniform(50.0, 150.0, len(short))
+    files["crlf.csv"] = _csv_text(short, prices, "\r\n")
+    files["quoted.csv"] = _csv_text(short, prices).replace("2016-01-05,", '"2016-01-05",')
+    files["spaced.csv"] = _csv_text(short, prices).replace("\n2016-01-09,", "\n\n 2016-01-09 ,")
+    files["bad_price.csv"] = _csv_text(short, prices).replace(f",{prices[7].item()!r}\n", ",-1\n")
+    files["bad_order.csv"] = _csv_text(short[:5] + short[6:7] + short[5:6] + short[7:],
+                                       prices)
+    files["bad_date.csv"] = _csv_text(short, prices).replace("2016-01-03", "2016-01-32")
+    files["bad_fields.csv"] = _csv_text(short, prices).replace("2016-01-04,", "2016-01-04,1,")
+    files["empty.csv"] = ""
+    for name, text in files.items():
+        (root / name).write_bytes(text.encode())
+    return short, long
+
+
+def _load(root, skip_errors):
+    """load_universe's result as comparable values, or the type and text of its error."""
+    try:
+        universe, failures = load_universe(root, skip_errors=skip_errors)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(s.symbol, s.dates, s.prices.tobytes(), s.prices.flags.writeable)
+            for s in universe], failures
+
+
+@pytest.mark.parametrize("stripes", [1, 2, 3], indirect=True)
+def test_load_universe_in_stripes_equals_one_process(tmp_path, monkeypatch, stripes):
+    short, long = _mixed_universe(tmp_path)
+    got = [_load(tmp_path, skip) for skip in (True, False)]
+    monkeypatch.setattr(backtest_module, "_cpus", lambda: 1)
+    assert got == [_load(tmp_path, skip) for skip in (True, False)]
+    series, failures = got[0]
+    assert [symbol for symbol, *_ in series] == [*(f"clean_{i}" for i in range(9)), "crlf",
+                                                 "quoted", "spaced"]
+    assert {dates for _, dates, *_ in series} == {tuple(map(D, short)), tuple(map(D, long))}
+    assert sorted(failures) == ["bad_date.csv", "bad_fields.csv", "bad_order.csv",
+                                "bad_price.csv", "empty.csv"]
+    # without skip_errors, the first bad file in name order
+    assert got[1] == (DataError, failures["bad_date.csv"])
+    # every file holds what load_series reads from it
+    for symbol, dates, prices, _ in series:
+        one = load_series(tmp_path / f"{symbol}.csv")
+        assert (one.dates, one.prices.tobytes()) == (dates, prices)
+    for name, reason in failures.items():
+        with pytest.raises(DataError) as err:
+            load_series(tmp_path / name)
+        assert str(err.value) == reason
+
+
+@pytest.mark.parametrize("stripes", [2, 3], indirect=True)
+def test_an_error_in_a_stripe_is_raised_at_its_file(tmp_path, monkeypatch, stripes):
+    _mixed_universe(tmp_path)
+    parent, read_text = os.getpid(), backtest_module.Path.read_text
+
+    def fails_in_a_child(path):
+        if path.name == "clean_1.csv" and os.getpid() != parent:
+            raise RuntimeError("read failed")
+        return read_text(path)
+
+    monkeypatch.setattr(backtest_module.Path, "read_text", fails_in_a_child)
+    with pytest.raises(RuntimeError, match="read failed"):
+        load_universe(tmp_path, skip_errors=True)
+
+
+@pytest.mark.parametrize("stripes", [1, 2, 3], indirect=True)
+def test_series_on_one_calendar_share_one_dates_tuple(tmp_path, stripes):
+    days = [d.isoformat() for d in _days("2016-01-01", 30)]
+    other = days[:-1] + ["2016-02-15"]  # one cell differs
+    for i in range(6):
+        (tmp_path / f"s{i}.csv").write_text(_csv_text(other if i == 4 else days,
+                                                      np.linspace(1.0, 2.0 + i, 30)))
+    universe, _ = load_universe(tmp_path)
+    assert len({id(s.dates) for s in universe}) == 2
+    assert universe[0].dates is universe[5].dates
+    assert universe[4].dates == tuple(map(D, other)) != universe[0].dates
+
+
+def test_a_date_column_is_parsed_once_per_universe(tmp_path, monkeypatch):
+    parsed = []
+
+    class CountingDate(date):
+        @classmethod
+        def fromisoformat(cls, text):
+            parsed.append(text)
+            return date.fromisoformat(text)
+
+    monkeypatch.setattr(backtest_module, "_cpus", lambda: 1)
+    monkeypatch.setattr(backtest_module, "date", CountingDate)
+    days = [d.isoformat() for d in _days("2016-01-01", 30)]
+    other = days[:-1] + ["2016-02-15"]
+    for i in range(5):
+        (tmp_path / f"s{i}.csv").write_text(_csv_text(other if i == 3 else days,
+                                                      np.linspace(1.0, 2.0, 30)))
+    universe, _ = load_universe(tmp_path)
+    assert len(universe) == 5
+    assert parsed == days + other
+
+
+@pytest.mark.parametrize("stripes", [1, 2], indirect=True)
+def test_a_calendar_already_parsed_keeps_every_error_text(tmp_path, stripes):
+    # b and d reuse a's dates, and c holds them with two swapped
+    days = [d.isoformat() for d in _days("2016-01-01", 10)]
+    text = _csv_text(days, [10.0 + i for i in range(10)])
+    (tmp_path / "a.csv").write_text(text)
+    (tmp_path / "b.csv").write_text(text.replace(",15.0\n", ",-15.0\n"))
+    (tmp_path / "c.csv").write_text(text.replace("-04,", "-xx,").replace("-05,", "-04,")
+                                    .replace("-xx,", "-05,"))
+    (tmp_path / "d.csv").write_text(text.replace(",12.0\n", ",x12\n"))
+    universe, failures = load_universe(tmp_path, skip_errors=True)
+    assert [s.symbol for s in universe] == ["a"]
+    assert failures == {
+        "b.csv": f"{tmp_path / 'b.csv'}: row 7: price must be positive, got '-15.0'",
+        "c.csv": f"{tmp_path / 'c.csv'}: c: dates must be strictly increasing",
+        "d.csv": f"{tmp_path / 'd.csv'}: row 4: bad price 'x12'",
+    }
 
 
 def test_gain_summary_from_gains():

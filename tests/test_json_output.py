@@ -131,18 +131,28 @@ def test_one_stripe_forks_nothing(monkeypatch, stripes):
 
 def test_one_stripe_never_imports_multiprocessing(tmp_path):
     # a fresh interpreter, since this one imported multiprocessing at the top of this file
+    # and a plain import of gsls, which every benchmark workload times, starts neither
     code = textwrap.dedent("""
         import sys
-        from gsls import cli
-        cli._cpus = lambda: 1
+        import gsls
+        for name in ("multiprocessing", "concurrent.futures"):
+            assert name not in sys.modules, f"import gsls imported {name}"
+        from gsls import backtest, cli
+        cli._cpus = backtest._cpus = lambda: 1
         cli._write_json({"series": iter([{"gains": [1.0, 2.5]}, None])}, sys.argv[1])
         cli._write_json({"series": iter([[0.5]])}, None)
+        series, failures = backtest.load_universe(sys.argv[2], skip_errors=True)
+        assert [s.symbol for s in series] == ["a", "c"] and list(failures) == ["b.csv"]
         assert "multiprocessing" not in sys.modules, "imported multiprocessing"
     """)
     path = tmp_path / "out.json"
+    universe = tmp_path / "universe"
+    universe.mkdir()
+    for name, close in [("a", "1.5"), ("b", "-1"), ("c", "2")]:
+        (universe / f"{name}.csv").write_text(f"date,close\n2016-01-01,{close}\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+    done = subprocess.run([sys.executable, "-c", code, str(path), str(universe)], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == _expected({"series": [[0.5]]})

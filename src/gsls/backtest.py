@@ -143,16 +143,16 @@ def load_series(path) -> PriceSeries:
     return _series(*_columns(Path(path), calendars), calendars)
 
 
-def _columns(path: Path, calendars: dict) -> tuple[str, str, bytes]:
+def _columns(path: Path, calendars: dict) -> tuple[str, str, np.ndarray]:
     """load_series's checked parse of one file, as a compact message.
 
     The message is the symbol, the date column's cells joined by newlines
-    (the row loop's dates as ISO text) and the prices' bytes; _series turns
-    it back into the PriceSeries.  Dates go through the calendars memo.
+    (the row loop's dates as ISO text) and the prices; _series turns it
+    back into the PriceSeries.  Dates go through the calendars memo.
     """
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a file that is not text is bad data
         raise DataError(f"{path}: {exc}") from exc
     lines = text.splitlines()
     limit = csv.field_size_limit()
@@ -172,11 +172,11 @@ def _columns(path: Path, calendars: dict) -> tuple[str, str, bytes]:
                 _calendar(column, calendars)
                 prices = np.fromiter(map(float, closes), float, len(closes))
                 if np.all(np.isfinite(prices) & (prices > 0.0)):
-                    return path.stem, column, prices.tobytes()
+                    return path.stem, column, prices
             except ValueError:
                 pass  # the loop finds the offending row and words the error
     series = _load_rows(path, lines)
-    return series.symbol, "\n".join(map(date.isoformat, series.dates)), series.prices.tobytes()
+    return series.symbol, "\n".join(map(date.isoformat, series.dates)), series.prices
 
 
 def _calendar(column: str, calendars: dict) -> tuple[date, ...]:
@@ -196,10 +196,9 @@ def _calendar(column: str, calendars: dict) -> tuple[date, ...]:
     return dates
 
 
-def _series(symbol: str, column: str, prices: bytes, calendars: dict) -> PriceSeries:
+def _series(symbol: str, column: str, prices: np.ndarray, calendars: dict) -> PriceSeries:
     """The PriceSeries of a _columns message, its dates from the calendars memo."""
-    return PriceSeries._checked(symbol, _calendar(column, calendars),
-                                np.frombuffer(prices).copy())
+    return PriceSeries._checked(symbol, _calendar(column, calendars), prices)
 
 
 def _load_rows(path: Path, lines: list[str]) -> PriceSeries:
@@ -256,7 +255,7 @@ def load_universe(path, skip_errors: bool = False) -> tuple[list[PriceSeries], d
 
     The files are parsed in stripes, one per CPU this process may use
     (_cpus): forked children parse every n-th file and send back only its
-    symbol, its date cells and its price bytes.  Equal date columns are
+    symbol, its date cells and its price array.  Equal date columns are
     parsed once, so series that share a calendar share one dates tuple.
     Under ``taskset -c 0`` nothing forks, and the series never depend on
     the number of CPUs.

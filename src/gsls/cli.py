@@ -94,7 +94,10 @@ def _parse_window(raw: str, name: str) -> tuple[date, date]:
     parts = raw.split(":")
     if len(parts) != 2:
         raise UsageError(f"{name}: expected YYYY-MM-DD:YYYY-MM-DD, got {raw!r}")
-    return _parse_date(parts[0], name), _parse_date(parts[1], name)
+    start, end = (_parse_date(part, name) for part in parts)
+    if end < start:
+        raise UsageError(f"{name}: window ends before it starts, got {raw!r}")
+    return start, end
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -258,6 +261,9 @@ SIMULATE = [
 def _cmd_simulate(s: dict) -> None:
     _need(s, "mu", "sigma", "out")
     start = _parse_date(s["start"], "--start")
+    if (date.max - start).days < s["steps"]:
+        raise UsageError(f"--start {start} and --steps {s['steps']} put the last date "
+                         f"past {date.max}")
     gp = GbmParams(s["mu"], s["sigma"], s["dt"])
     paths = simulate_paths(gp, s["p0"], s["steps"], s["count"], s["seed"])
     days = [(start + timedelta(days=i)).isoformat() for i in range(s["steps"] + 1)]
@@ -388,7 +394,7 @@ def _read_report(s: dict) -> dict:
     in_path, label = s["in"], s["strategy"]
     try:
         doc = json.loads(Path(in_path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{in_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{in_path}: not valid JSON: {exc}") from exc

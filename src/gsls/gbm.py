@@ -42,17 +42,26 @@ TRADING_DAYS_PER_YEAR = 252
 
 @dataclass(frozen=True)
 class GbmParams:
-    """GBM drift mu, volatility sigma >= 0 and sampling interval dt > 0."""
+    """GBM drift mu, volatility sigma >= 0 and sampling interval dt > 0.
 
-    mu: float
-    sigma: float
+    mu and sigma are each a number or an array, and arrays broadcast, as in
+    ControlParams: one GbmParams holds one series' dynamics or a column of
+    many, which the moments score in one evaluation.  dt is a number, and
+    simulate_paths reads numbers.
+    """
+
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
     dt: float = 1.0 / TRADING_DAYS_PER_YEAR
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"sigma must be non-negative and finite, got {self.sigma!r}")
+        mu, sigma = self.mu, self.sigma
+        # math for a number, as ControlParams checks it; one numpy check for an array
+        if not (np.all(np.isfinite(mu)) if isinstance(mu, np.ndarray) else math.isfinite(mu)):
+            raise ValueError(f"mu must be finite, got {mu!r}")
+        if not (np.all(np.isfinite(sigma) & (sigma >= 0.0)) if isinstance(sigma, np.ndarray)
+                else math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"sigma must be non-negative and finite, got {sigma!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
@@ -83,7 +92,9 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
     Drawing row blocks one after another consumes the generator's stream in
     the order one draw of shape (n_paths, steps) would, so the blocks do not
     change the bits.  One thread does all of it: the generator is
-    sequential.
+    sequential.  Each block is checked while it is in cache: a price that
+    overflows to inf or underflows to 0 raises ValueError, without a numpy
+    warning.
     """
     if not (math.isfinite(p0) and p0 > 0.0):
         raise ValueError(f"p0 must be positive and finite, got {p0!r}")
@@ -101,13 +112,19 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
         rows = out[lo:lo + step]
         block = z[:len(rows)]
         rng.standard_normal(out=block)
-        block *= scale
-        block += drift
-        np.cumsum(block, axis=1, out=rows[:, 1:])
-        # exp(0) * p0 is p0 exactly, so the whole block is one flat pass
-        rows[:, 0] = 0.0
-        np.exp(rows, out=rows)
-        rows *= p0
+        with np.errstate(all="ignore"):  # the check below reports what went out of range
+            block *= scale
+            block += drift
+            np.cumsum(block, axis=1, out=rows[:, 1:])
+            # exp(0) * p0 is p0 exactly, so the whole block is one flat pass
+            rows[:, 0] = 0.0
+            np.exp(rows, out=rows)
+            rows *= p0
+        low, high = rows.min(), rows.max()
+        if not (low > 0.0 and high < math.inf):  # NaN fails both
+            raise ValueError(f"simulated prices must be positive and finite, got "
+                             f"{float(high if low > 0.0 else low)!r} at mu {params.mu!r}, "
+                             f"sigma {params.sigma!r}")
     return out
 
 

@@ -5,8 +5,8 @@ Given estimated GBM dynamics and a target gain g*, score every grid point
 the mean squared error bias**2 + variance, and keep the best.  The search
 is exhaustive and deterministic: ties resolve to the smallest k, then
 alpha, then beta.  The whole grid, for a chunk of series at once, is one
-ControlParams of arrays, scored in one evaluation of the same closed forms
-that score a single point.
+ControlParams of arrays, scored against one GbmParams of the chunk's columns
+in one evaluation of the same closed forms that score a single point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,17 +205,6 @@ def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
     return result
 
 
-class _Dynamics(NamedTuple):
-    """Drifts and volatilities as arrays, in the attribute shape of GbmParams.
-
-    The closed forms read only mu and sigma, so passing this in place of a
-    GbmParams scores many series in one evaluation.
-    """
-
-    mu: np.ndarray
-    sigma: np.ndarray
-
-
 # grid points times series scored in one evaluation; each temporary of a
 # chunk then holds at most this many floats
 _CHUNK_CELLS = 1 << 15
@@ -254,7 +242,7 @@ def _search(gps, ts, policy: TargetPolicy, grid: GridSpec, objective: Objective,
     step = max(1, _CHUNK_CELLS // grid.size)
     for chunk in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _objective_value(points, _Dynamics(mu[chunk], sigma[chunk]), t[chunk],
+            values = _objective_value(points, GbmParams(mu[chunk], sigma[chunk]), t[chunk],
                                       target[chunk], objective).reshape(len(chunk), grid.size)
         finite = np.isfinite(values)
         best = np.argmin(np.where(finite, values, np.inf), axis=1)

@@ -427,6 +427,21 @@ def test_a_calendar_already_parsed_keeps_every_error_text(tmp_path, stripes):
     }
 
 
+
+@pytest.mark.parametrize("stripes", [1, 2], indirect=True)
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, stripes):
+    days = [d.isoformat() for d in _days("2016-01-01", 3)]
+    (tmp_path / "a.csv").write_text(_csv_text(days, [10.0, 11.0, 12.0]))
+    (tmp_path / "b.csv").write_bytes(b"date,close\n2016-01-01,1\xe9\n")
+    reason = (f"{tmp_path / 'b.csv'}: 'utf-8' codec can't decode byte 0xe9 in position 23: "
+              "invalid continuation byte")
+    universe, failures = load_universe(tmp_path, skip_errors=True)
+    assert [s.symbol for s in universe] == ["a"]
+    assert failures == {"b.csv": reason}
+    with pytest.raises(DataError) as err:
+        load_universe(tmp_path)
+    assert str(err.value) == reason
+
 def test_gain_summary_from_gains():
     s = GainSummary.from_gains([1.0, 2.0, 3.0, 4.0])
     assert s.q1 == 1.75

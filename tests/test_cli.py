@@ -958,3 +958,70 @@ def test_plotdata_gain_vs_q_rejects_a_bad_ratio_range(tmp_path, capsys, extra, m
     assert main(["plotdata", "--kind", "gain-vs-q", "--k", "1", *extra, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    bad = universe / "series_0001.csv"
+    bad.write_bytes(b"date,close\n2016-01-01,1\xe9\n")
+    reason = f"{bad}: 'utf-8' codec can't decode byte 0xe9 in position 23: invalid continuation byte"
+    sweep = ["backtest", "--in", str(universe), "--fixed-k", "1", *BACKTEST_WINDOWS[2:]]
+    assert main([*sweep, "--out", str(tmp_path / "run")]) == 3
+    assert capsys.readouterr().err == f"data error: {reason}\n"
+    assert main(["estimate", "--in", str(bad)]) == 3
+    assert capsys.readouterr().err == f"data error: {reason}\n"
+    out = tmp_path / "skip"
+    assert main([*sweep, "--skip-errors", "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["load_failures"] == {"series_0001.csv": reason}
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"report": "\xe9"}')
+    assert main(["plotdata", "--kind", "daily", "--in", str(report),
+                 "--out", str(tmp_path / "d.csv")]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {report}: 'utf-8' codec ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", "--test-window"), ("sweep", "--train-window"), ("backtest", "--test-window"),
+    ("backtest", "--train-window"), ("estimate", "--train-window"),
+    ("optimize", "--train-window"),
+])
+def test_a_window_that_ends_before_it_starts_is_a_usage_error(tmp_path, capsys, command, flag):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    windows = dict(zip(BACKTEST_WINDOWS[0::2], BACKTEST_WINDOWS[1::2]))
+    windows[flag] = "2016-03-01:2016-02-02"
+    if command in ("sweep", "backtest"):
+        argv = ["backtest", "--in", str(universe), *(["--fixed-k", "1"] if command == "sweep"
+                                                     else OPTIMIZED)]
+        argv += [arg for item in windows.items() for arg in item]
+    else:
+        argv = [command, "--in", str(universe / "series_0000.csv"), flag, windows[flag],
+                *(OPTIMIZED if command == "optimize" else [])]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag}: window ends before it starts, got '2016-03-01:2016-02-02'\n")
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_last_date_past_9999(tmp_path, capsys):
+    out = tmp_path / "u"
+    argv = ["simulate", "--mu", "0.1", "--sigma", "0.2", "--start", "9999-12-30"]
+    assert main([*argv, "--steps", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --start 9999-12-30 and --steps 5 put the last date past 9999-12-31\n")
+    assert not out.exists()
+    assert main([*argv, "--steps", "1", "--out", str(out)]) == 0
+    assert _read_csv(out / "series_0000.csv")[-1][0] == "9999-12-31"
+
+
+@pytest.mark.parametrize("mu, sigma, bad", [("1000", "0.2", "inf"), ("0.1", "200", "0.0")])
+def test_simulate_rejects_prices_that_overflow_or_underflow(tmp_path, capsys, mu, sigma, bad):
+    out = tmp_path / "u"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--mu", mu, "--sigma", sigma, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: simulated prices must be positive and finite, got {bad} "
+        f"at mu {float(mu)!r}, sigma {float(sigma)!r}\n")
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """GBM simulation, MLE estimation, and closed-form gain moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -454,3 +455,46 @@ def test_expected_gain_is_the_closed_form_at_e_to_the_mu_t(mu, t, points):
             mean = expected_gain(cp, gp, t)
         np.testing.assert_array_equal(np.asarray(mean).view(np.uint64),
                                       np.asarray(closed).view(np.uint64))
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("mu", math.nan, "mu must be finite"),
+    ("mu", math.inf, "mu must be finite"),
+    ("mu", -math.inf, "mu must be finite"),
+    ("sigma", -0.5, "sigma must be non-negative and finite"),
+    ("sigma", math.nan, "sigma must be non-negative and finite"),
+    ("sigma", math.inf, "sigma must be non-negative and finite"),
+])
+def test_gbm_params_rejects_one_bad_entry_of_an_array_field(field, bad, message):
+    values = {"mu": np.full((4, 1), 0.1), "sigma": np.full((4, 1), 0.2)}
+    values[field][2, 0] = bad
+    with pytest.raises(ValueError, match=f"^{message}, got array"):
+        GbmParams(**values)
+
+
+def test_gbm_params_of_columns_give_each_rows_bits_in_the_moments():
+    # one row per series against the default grid's axes, as the grid search scores them;
+    # (60, 3) and (-60, 3) reach the log-space variance, (0.4, 0) a zero variance
+    rng = np.random.default_rng(42)
+    mu = np.concatenate([[60.0, -60.0, 0.4], rng.uniform(-3.0, 3.0, 37)])
+    sigma = np.concatenate([[3.0, 3.0, 0.0], rng.uniform(0.0, 2.0, 37)])
+    t = rng.uniform(0.01, 3.0, 40)
+    axes = np.ix_(*([np.linspace(0.5, 5.0, 10)] * 3))
+    cp = ControlParams(1.0, *axes)
+    columns = GbmParams(*(np.reshape(x, (-1, 1, 1, 1)) for x in (mu, sigma)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for moment in (expected_gain, gain_variance):
+            batch = moment(cp, columns, t.reshape(-1, 1, 1, 1))
+            rows = np.array([moment(cp, GbmParams(*row[:2]), row[2])
+                             for row in zip(mu.tolist(), sigma.tolist(), t.tolist())])
+            assert batch.shape == (40, 10, 10, 10)
+            np.testing.assert_array_equal(batch.view(np.uint64), rows.view(np.uint64))
+
+
+@pytest.mark.parametrize("mu, sigma, bad", [(1000.0, 0.2, "inf"), (0.1, 200.0, "0.0")])
+def test_simulate_paths_raises_where_a_price_overflows_or_underflows(mu, sigma, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(ValueError, match=f"^simulated prices must be positive and finite, "
+                                             f"got {bad} at mu {mu!r}, sigma {sigma!r}$"):
+            simulate_paths(GbmParams(mu, sigma), 100.0, 252, 3, seed=0)

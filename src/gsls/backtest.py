@@ -20,6 +20,7 @@ import os
 import signal
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields
 from datetime import date
@@ -294,6 +295,16 @@ def _cpus() -> int:
     return _usable_cpus() if hasattr(os, "fork") else 1
 
 
+class _Mapped(Iterator):
+    """map(build, sources) that keeps build and the sources apart for _striped."""
+
+    def __init__(self, build, sources):
+        self.build, self.sources = build, iter(sources)
+
+    def __next__(self):
+        return self.build(next(self.sources))
+
+
 def _striped(fn, items, stripes: int):
     """Yield fn(item) for each of items, in order, with item i computed by stripe i % stripes.
 
@@ -304,8 +315,16 @@ def _striped(fn, items, stripes: int):
     the results must, and this process holds about one result per pipe.
     Every child is reaped on every way out, once the generator is exhausted
     or closed, so callers close it.  One stripe is a plain loop, which
-    neither imports multiprocessing nor forks.
+    neither imports multiprocessing nor forks.  When items is a _Mapped,
+    the stripes walk its sources, so each item is built only by the stripe
+    that computes fn of it.
     """
+    if isinstance(items, _Mapped):
+        outer, build, items = fn, items.build, items.sources
+
+        def fn(source):
+            return outer(build(source))
+
     children = []
     try:
         if stripes > 1:
@@ -590,10 +609,11 @@ def report_to_dict(report: BacktestReport, rows=list) -> dict:
 
     rows receives an iterator of the per-series rows and returns the
     "series" value: a list by default; rows=iter keeps it lazy, so each row
-    is built only when it is consumed.
+    is built only when it is consumed, and a striped report.json writer
+    builds each row in the process that encodes it (_striped).
     """
     return {
-        "series": rows(map(_series_row, report.results)),
+        "series": rows(_Mapped(_series_row, report.results)),
         "daily": dict(zip(DAILY_COLUMNS, _daily_lists(report))),
         "summary": {name: getattr(report.summary, name) for name in SUMMARY_COLUMNS},
     }

@@ -103,7 +103,7 @@ def _parse_window(raw: str, name: str) -> tuple[date, date]:
 def _load_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     settings: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -165,7 +165,8 @@ def _stream_json(value, write, stripes: int = 1) -> None:
     by item, so an iterator's items exist one at a time; any other value is
     one piece.  With stripes > 1, an iterator that is not an item of another
     one has its items encoded by that many processes (backtest._striped),
-    and this process writes them in order.
+    and this process writes them in order; report_to_dict's lazy rows are
+    each built only by the process that encodes it.
     """
     if isinstance(value, Iterator):
         write("[")

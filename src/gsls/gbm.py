@@ -94,7 +94,7 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
     change the bits.  One thread does all of it: the generator is
     sequential.  Each block is checked while it is in cache: a price that
     overflows to inf or underflows to 0 raises ValueError, without a numpy
-    warning.
+    warning, as does a sigma whose square overflows.
     """
     if not (math.isfinite(p0) and p0 > 0.0):
         raise ValueError(f"p0 must be positive and finite, got {p0!r}")
@@ -104,7 +104,10 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     rng = np.random.default_rng(seed)
     scale = params.sigma * math.sqrt(params.dt)
-    drift = (params.mu - 0.5 * params.sigma**2) * params.dt
+    try:
+        drift = (params.mu - 0.5 * params.sigma**2) * params.dt
+    except OverflowError:  # float ** raises where IEEE gives inf; every price then underflows
+        drift = -math.inf
     out = np.empty((n_paths, steps + 1))
     step = max(1, _BLOCK_PRICES // steps)
     z = np.empty((min(step, n_paths), steps))

@@ -221,19 +221,42 @@ class StrategyTrace:
     All arrays share the shape of the input prices with time along the last
     axis, so a batch of paths produces a batch of traces in one object.
 
-    run_strategy fills prices, the two investments and the total gain.
-    gain_long, gain_short and inv_net are derived from the investments and
-    params on first access, then cached on the instance, so a caller that
+    run_strategy fills prices and the total gain.  The two investments
+    inv_long and inv_short come from one re-run of the executor on prices,
+    and gain_long, gain_short and inv_net from the investments and params,
+    each on first access, then cached on the instance, so a caller that
     reads only gain never allocates them.  The constructor takes params in
-    place of those three arrays.
+    place of those five arrays.
     """
 
     times: np.ndarray
     prices: np.ndarray
     params: ControlParams
     gain: np.ndarray
-    inv_long: np.ndarray
-    inv_short: np.ndarray
+
+    @cached_property
+    def inv_long(self) -> np.ndarray:
+        return self._books()[0]
+
+    @cached_property
+    def inv_short(self) -> np.ndarray:
+        return self._books()[1]
+
+    def _books(self) -> list[np.ndarray]:
+        """Both investments from one re-run of the executor, cached together.
+
+        The run that made gain did the same operations under the caller's
+        numpy error state, so this one ignores floating-point errors.  It
+        raises ValueError when the gain it makes differs from gain in any
+        bit, as it does when the prices changed after the run.
+        """
+        books = [np.empty(self.prices.shape) for _ in range(2)]
+        with np.errstate(all="ignore"):
+            gain = _run(self.params, self.prices, books)
+        if not np.array_equal(gain.view(np.uint64), self.gain.view(np.uint64)):
+            raise ValueError("prices changed after the run; its investments are lost")
+        vars(self).update(inv_long=books[0], inv_short=books[1])
+        return books
 
     @cached_property
     def gain_long(self) -> np.ndarray:
@@ -280,31 +303,51 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
     treated as independent paths.  Each field of params is a number or holds
     one value per path, as an array that broadcasts to prices.shape[:-1] + (1,).
 
-    A run allocates the two investments and the gain, and one scratch
-    buffer of one block per thread.  It works through the paths in blocks
-    of about _BLOCK_PRICES prices that stay in cache: per block it checks
-    the prices, writes the returns into the scratch buffer, forms the
-    factors and their cumulative products in place in the investment rows,
-    and writes the gain, the short book's term going through the scratch
-    buffer.  The blocks are spread over threads, one per CPU in the
-    process's affinity mask, each running under the caller's numpy error
-    state; one CPU or one block starts no thread.  Every value comes from
-    the same operations in the same order whatever the blocks and threads,
-    so the bits do not depend on the number of CPUs.
+    A run allocates only the gain, and one scratch buffer of one block per
+    thread.  It works through the paths in blocks of about _BLOCK_PRICES
+    prices that stay in cache: per block it checks the prices, writes the
+    returns into the scratch buffer, and forms the factors and their
+    cumulative products in place, the long book's in the block's gain rows
+    and the short book's in the scratch buffer, which then become the gain.
+    The blocks are spread over threads, one per CPU in the process's
+    affinity mask, each running under the caller's numpy error state; one
+    CPU or one block starts no thread.  Every value comes from the same
+    operations in the same order whatever the blocks and threads, so the
+    bits do not depend on the number of CPUs.  The trace's investments come
+    from the same block loop, run again on first access with the books
+    written to arrays of their own.
     """
     p = np.asarray(prices, dtype=float)
     if p.ndim == 0 or p.shape[-1] < 1:
         raise ValueError("price series must contain at least one price")
+    gain = _run(params, p)
+    n = p.shape[-1]
+    # checked after the prices, whose error comes first
+    if times is None:
+        times = np.arange(n)
+    else:
+        times = np.asarray(times)
+        if times.shape != (n,):
+            raise ValueError(f"times must have shape ({n},), got {times.shape}")
+    return StrategyTrace(times=times, prices=p, params=params, gain=gain)
+
+
+def _run(params: ControlParams, p: np.ndarray, books=None) -> np.ndarray:
+    """run_strategy's block loop over the float prices p; returns the gain.
+
+    books is None, when each block's two investments live in its gain rows
+    and its thread's scratch buffer, or two arrays of p's shape that receive
+    inv_long and inv_short.  Either way the gain comes from the same
+    operations in the same order.
+    """
     n = p.shape[-1]
     rows = p.reshape(-1, n)
     n_rows = len(rows)
     # one value per row, or a scalar for all of them
     per_row = [v if np.ndim(v) == 0 else np.broadcast_to(v, p.shape[:-1] + (1,)).reshape(-1, 1)
                for v in (params.i0, params.k, params.k_short, params.alpha * params.i0)]
-    inv_long = np.empty(p.shape)
-    inv_short = np.empty(p.shape)
     gain = np.empty(p.shape)
-    books = [a.reshape(-1, n) for a in (inv_long, inv_short, gain)]
+    outs = [a.reshape(-1, n) for a in (gain, *(books or ()))]
 
     def trade(lo: int, hi: int, scratch: np.ndarray) -> None:
         block = rows[lo:hi]
@@ -312,7 +355,7 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
         if not (block.min() > 0.0 and block.max() < math.inf):
             raise ValueError("prices must be finite and strictly positive")
         i0, k, k_short, alpha_i0 = (v if np.ndim(v) == 0 else v[lo:hi] for v in per_row)
-        long_, short, g = (a[lo:hi] for a in books)
+        g, *book_rows = (a[lo:hi] for a in outs)
         # r[:, j] is the return into price j, and r[:, 0] = 0 gives each book
         # the unit factor 1 + 0 there, so every pass below covers whole rows
         # and, for scalar parameters, runs as one flat loop over the block
@@ -321,6 +364,7 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
         np.subtract(flat[1:], flat[:-1], out=r_flat[1:])
         r[:, 0] = 0.0
         r_flat[1:] /= flat[:-1]
+        long_, short = book_rows or (g, r)
 
         np.multiply(r, k, out=long_)
         long_ += 1.0
@@ -359,13 +403,4 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
                     for a, b in zip(cuts, cuts[1:])]
         for run in runs:
             run.result()
-
-    # checked after the prices, whose error comes first
-    if times is None:
-        times = np.arange(n)
-    else:
-        times = np.asarray(times)
-        if times.shape != (n,):
-            raise ValueError(f"times must have shape ({n},), got {times.shape}")
-    return StrategyTrace(times=times, prices=p, params=params, gain=gain,
-                         inv_long=inv_long, inv_short=inv_short)
+    return gain

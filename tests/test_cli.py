@@ -911,6 +911,17 @@ def test_simulate_rejects_a_malformed_start_date(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_file_that_is_not_utf8_is_a_usage_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"mu = 0.1\xe9\n")
+    out = tmp_path / "u"
+    assert main(["simulate", "--config", str(cfg), "--sigma", "0.2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xe9 in position 8: "
+        "invalid continuation byte\n")
+    assert not out.exists()
+
+
 def test_config_file_errors_and_comments(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path / "u")]) == 2
@@ -1015,7 +1026,8 @@ def test_simulate_rejects_a_last_date_past_9999(tmp_path, capsys):
     assert _read_csv(out / "series_0000.csv")[-1][0] == "9999-12-31"
 
 
-@pytest.mark.parametrize("mu, sigma, bad", [("1000", "0.2", "inf"), ("0.1", "200", "0.0")])
+@pytest.mark.parametrize("mu, sigma, bad", [("1000", "0.2", "inf"), ("0.1", "200", "0.0"),
+                                            ("0.1", "1e200", "0.0")])
 def test_simulate_rejects_prices_that_overflow_or_underflow(tmp_path, capsys, mu, sigma, bad):
     out = tmp_path / "u"
     with warnings.catch_warnings():

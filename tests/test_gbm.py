@@ -1,6 +1,7 @@
 """GBM simulation, MLE estimation, and closed-form gain moments."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -498,3 +499,13 @@ def test_simulate_paths_raises_where_a_price_overflows_or_underflows(mu, sigma, 
         with pytest.raises(ValueError, match=f"^simulated prices must be positive and finite, "
                                              f"got {bad} at mu {mu!r}, sigma {sigma!r}$"):
             simulate_paths(GbmParams(mu, sigma), 100.0, 252, 3, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [1.4e154, 1e200, 1.7e308])
+def test_simulate_paths_raises_where_sigma_squared_overflows(sigma):
+    # sigma**2 on floats raises OverflowError; IEEE makes the drift -inf and every price 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^simulated prices must be positive and finite, "
+                                             f"got (0.0|nan) at mu 0.1, sigma {re.escape(repr(sigma))}$"):
+            simulate_paths(GbmParams(0.1, sigma), 100.0, 252, 3, seed=0)

@@ -14,11 +14,12 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsls import cli
+from gsls import ControlParams, backtest, cli
 from gsls.cli import main
 
 SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
@@ -179,6 +180,30 @@ def test_a_row_that_fails_in_any_stripe_leaves_no_file(tmp_path, stripes):
     with pytest.raises(RuntimeError, match="no text"):
         cli._write_json({"series": iter([{"a": 1.0}, {"a": _NoText()}, {"a": 2.0}])}, str(path))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stripes", STRIPES, indirect=True)
+def test_each_report_row_is_built_only_by_the_process_that_encodes_it(tmp_path, monkeypatch,
+                                                                      stripes):
+    results = [backtest.SeriesResult(f"s{i}", ControlParams(1.0, 1.0 + i), np.array([0.0, i / 7]))
+               for i in range(7)]
+    report = backtest.aggregate(results)
+    expected = json.dumps({"report": backtest.report_to_dict(report)}, sort_keys=True) + "\n"
+    log = tmp_path / "built.log"
+    series_row = backtest._series_row
+
+    def logged(r):
+        with open(log, "a") as fh:  # one short append per row, from whichever process
+            fh.write(f"{os.getpid()} {r.symbol}\n")
+        return series_row(r)
+
+    monkeypatch.setattr(backtest, "_series_row", logged)
+    path = tmp_path / "out.json"
+    cli._write_json({"report": backtest.report_to_dict(report, rows=iter)}, str(path))
+    assert path.read_text() == expected
+    built = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(symbol for _, symbol in built) == [r.symbol for r in results]
+    assert len({pid for pid, _ in built}) == min(stripes, len(results))
 
 
 @pytest.mark.parametrize("stripes", [2, 3], indirect=True)

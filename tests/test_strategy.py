@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -481,3 +482,67 @@ def test_importing_gsls_loads_no_thread_pool():
     code = "import sys, gsls, gsls.cli; sys.exit('concurrent.futures' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(gsls.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_run_strategy_allocates_only_the_gain(monkeypatch):
+    # one worker and one block buffer: the investments stay in per-block scratch
+    _force(monkeypatch, 1 << 17, 1)
+    paths = _walk((4000, 253), 44)
+    params = ControlParams(1.0, 2.0, alpha=0.5, beta=1.5)
+    tracemalloc.start()
+    try:
+        gain = run_strategy(params, paths).gain
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gain.shape == paths.shape
+    assert peak < 1.5 * gain.nbytes
+
+
+def test_run_strategy_derives_the_investments_once_on_first_access(monkeypatch):
+    prices, params, block_prices = _BLOCKED["row-columns"]
+    _force(monkeypatch, block_prices, 3)
+    trace = run_strategy(params, prices)
+    assert {"inv_long", "inv_short"}.isdisjoint(vars(trace))
+    runs = []
+    run = strategy_module._run
+    monkeypatch.setattr(strategy_module, "_run", lambda *args: runs.append(args) or run(*args))
+    short = trace.inv_short
+    long_ = trace.inv_long
+    for field in ("inv_net", "gain_long", "gain_short", "inv_long", "inv_short"):
+        getattr(trace, field)
+    assert len(runs) == 1
+    assert vars(trace)["inv_long"] is long_ is trace.inv_long
+    assert vars(trace)["inv_short"] is short is trace.inv_short
+    assert not np.shares_memory(long_, short)
+    assert not np.shares_memory(long_, trace.gain) and not np.shares_memory(short, trace.gain)
+
+
+def test_reading_the_investments_of_an_overflowing_run_warns_nothing(monkeypatch):
+    _force(monkeypatch, 130, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run_strategy(ControlParams(1.0, 2.0, alpha=0.5, beta=1.5), _overflowing(9, 60))
+    assert not np.isfinite(trace.inv_long[-1]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):  # the re-run ignores the caller's error state
+            assert not np.isfinite(trace.inv_short[-1]).all()
+
+
+@pytest.mark.parametrize("change", ["scale-one-price", "scale-one-path", "bad-price"])
+def test_reading_the_investments_after_the_prices_changed_raises(change):
+    prices = _walk((6, 40), 45)
+    trace = run_strategy(ControlParams(1.0, 2.0, alpha=0.5, beta=1.5), prices)
+    gain = trace.gain.copy()
+    if change == "scale-one-price":
+        prices[2, 17] *= 1.001
+    elif change == "scale-one-path":
+        prices[4, 20:] *= 1.5
+    else:
+        prices[5, 3] = -1.0
+    with pytest.raises(ValueError):
+        trace.inv_long
+    with pytest.raises(ValueError):
+        trace.inv_net
+    assert {"inv_long", "inv_short", "inv_net"}.isdisjoint(vars(trace))
+    _same_bits(trace.gain, gain, "gain")

@@ -28,16 +28,21 @@ from .strategy import _BLOCK_PRICES, ControlParams, gain_total_closed
 
 __all__ = [
     "GbmParams",
-    "GbmPath",
     "TRADING_DAYS_PER_YEAR",
     "estimate_mle",
     "expected_gain",
     "gain_variance",
-    "simulate_path",
     "simulate_paths",
 ]
 
 TRADING_DAYS_PER_YEAR = 252
+
+# fdlibm's Cody-Waite split of ln 2: n * _LN2_HI is exact for |n| <= _LN2_MAX_N,
+# which keeps n in an int and 2**n far past the float range
+_LN2 = math.log(2.0)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_LN2_MAX_N = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,20 +69,6 @@ class GbmParams:
             raise ValueError(f"sigma must be non-negative and finite, got {sigma!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-
-
-@dataclass(frozen=True)
-class GbmPath:
-    """One simulated path together with the settings that produced it."""
-
-    params: GbmParams
-    p0: float
-    seed: int
-    prices: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.prices) - 1
 
 
 def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed) -> np.ndarray:
@@ -129,12 +120,6 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
                              f"{float(high if low > 0.0 else low)!r} at mu {params.mu!r}, "
                              f"sigma {params.sigma!r}")
     return out
-
-
-def simulate_path(params: GbmParams, p0: float, steps: int, seed) -> GbmPath:
-    """Simulate one GBM path of `steps` steps from p0."""
-    prices = simulate_paths(params, p0, steps, 1, seed)[0]
-    return GbmPath(params=params, p0=p0, seed=seed, prices=prices)
 
 
 def estimate_mle(prices, dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> GbmParams:
@@ -194,8 +179,9 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     non-positive because the books hedge each other.  The variance is zero
     iff sigma == 0 or t == 0.  Where a factor of the product form overflows,
     it reads inf, inf - inf when a book's term meets the covariance, or
-    0 * inf; those entries alone are summed in log space, so only a true
-    overflow stays non-finite, as +inf.  Where sigma**2*t is tiny the terms
+    0 * inf; those entries alone are summed scaled by e**-top for the largest
+    exponent top, with e**top applied last, so only a true overflow stays
+    non-finite, as +inf.  Where sigma**2*t is tiny the terms
     cancel to O((sigma**2*t)**2), and a sum that rounding leaves below 0 reads 0.
     cp may carry arrays of gains; the square is np.square so that a scalar
     and an array round it the same way.
@@ -214,15 +200,20 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     var = np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)
     bad = ~np.isfinite(var)
     if bad.any():
-        # at those entries, sum the terms scaled by the largest, whose logs do not overflow
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # ln|w * scale * e**a * (e**b - 1)| with the sum's weights w = 1, 1, -2,
-            # adding a and b first, as the product form's e**(a + b) would
-            logs = [a + np.maximum(b, 0.0) + (np.log(w * scale) + np.log(-np.expm1(-np.abs(b))))
-                    for w, (scale, a, b) in zip((1.0, 1.0, 2.0), terms)]
-            top = np.maximum(np.maximum(logs[0], logs[1]), logs[2])
-            rel = np.exp(logs[0] - top) + np.exp(logs[1] - top) - np.exp(logs[2] - top)
-            # every term is 0 where top is -inf: b == 0, as at sigma == 0
-            log_var = np.where(top == -np.inf, -np.inf, 2.0 * np.log(cp.i0 / k) + top + np.log(rel))
-            var = np.where(bad, np.exp(log_var), var)[()]
+        # at those entries, sum each term w * scale * e**a * |e**b - 1|, with the sum's
+        # weights and signs w = 1, 1, -2, as w * scale * (1 - e**-|b|) * e**(big - top),
+        # where big = a + max(b, 0) and top is the largest big; then apply e**top as
+        # 2**n * e**r, and (i0/k)**2 likewise, so no partial result overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            bigs = [a + np.maximum(b, 0.0) for _, a, b in terms]
+            top = np.maximum(np.maximum(bigs[0], bigs[1]), bigs[2])
+            rel = sum(w * scale * -np.expm1(-np.abs(b)) * np.exp(big - top)
+                      for w, (scale, _, b), big in zip((1.0, 1.0, -2.0), terms, bigs))
+            # past the clip every entry is 0 or inf, or 0 where rel is, as at sigma == 0
+            top = np.clip(top, -_LN2_MAX_N * _LN2_HI, _LN2_MAX_N * _LN2_HI)
+            n = np.rint(top / _LN2)
+            r = (top - n * _LN2_HI) - n * _LN2_LO
+            frac, exp2 = np.frexp(cp.i0 / k)
+            scaled = np.ldexp(np.square(frac) * rel * np.exp(r), n.astype(np.int64) + 2 * exp2)
+            var = np.where(bad, scaled, var)[()]
     return np.maximum(var, 0.0)

@@ -145,10 +145,6 @@ class GridSpec:
     def size(self) -> int:
         return len(self.k_values) * len(self.alpha_values) * len(self.beta_values)
 
-    @property
-    def is_sls_only(self) -> bool:
-        return self.alpha_values == (1.0,) and self.beta_values == (1.0,)
-
     def combos(self):
         """All (k, alpha, beta) points in lexicographic order."""
         return itertools.product(self.k_values, self.alpha_values, self.beta_values)
@@ -159,7 +155,6 @@ class OptimizationResult:
     """Winning parameters plus the resolved target and objective value."""
 
     params: ControlParams
-    objective: Objective
     objective_value: float
     target: float
     table: tuple[tuple[float, float, float, float], ...] | None = None
@@ -256,7 +251,6 @@ def _search(gps, ts, policy: TargetPolicy, grid: GridSpec, objective: Objective,
                 table = tuple((*combo, v) for combo, v in zip(combos, row.tolist()))
             results[i] = OptimizationResult(
                 params=ControlParams(i0, *combos[b]),
-                objective=objective,
                 objective_value=float(row[b]),
                 target=float(targets[i]),
                 table=table,

@@ -82,10 +82,10 @@ class ControlParams:
 class Beta1Roots(NamedTuple):
     """Zero crossings and global minimum of the total gain for beta == 1."""
 
-    q_root1: float
-    q_root2: float
-    q_min: float
-    g_min: float
+    q_root1: float | np.ndarray
+    q_root2: float | np.ndarray
+    q_min: float | np.ndarray
+    g_min: float | np.ndarray
 
 
 def _check_ratio(q) -> None:
@@ -155,34 +155,49 @@ def feedback_gain_partials(params: ControlParams, q):
     return d_long, d_short
 
 
+def _entrywise(fn, nout: int, dtype, *args):
+    """fn on each entry of the broadcast args, as one call on numbers per entry.
+
+    fn works in float and math arithmetic, whose pow and log numpy's array
+    loops do not always match in the last bit, so every entry gets the bits
+    of a call on numbers.  Numbers and 0-d arrays in give fn's own results out.
+    """
+    out = np.frompyfunc(fn, len(args), nout)(*args)
+    if all(np.ndim(v) == 0 for v in args):
+        return out
+    return [np.asarray(o, dtype=dtype) for o in out] if nout > 1 else np.asarray(out, dtype=dtype)
+
+
+def _beta1_roots(a, k, i0) -> tuple:
+    return 1.0, a ** (1.0 / k), a ** (1.0 / (2.0 * k)), -(i0 * (math.sqrt(a) - 1.0) ** 2 / k)
+
+
 def beta1_roots(params: ControlParams) -> Beta1Roots:
     """Roots and minimum of the total gain as a function of q when beta == 1.
 
     Through u = q**k the total gain factors as (i0/k) * (u-1) * (u-alpha) / u,
     so it vanishes at q = 1 and q = alpha**(1/k) and attains its global
     minimum -i0*(sqrt(alpha)-1)**2/k at q = alpha**(1/(2k)).  For alpha == 1
-    the roots coincide at q = 1 and the minimum is 0.
+    the roots coincide at q = 1 and the minimum is 0.  Array fields
+    broadcast, and each field of the result is then an array whose entries
+    have the bits of the call on that entry's numbers.
     """
-    if params.beta != 1.0:
+    if np.any(np.not_equal(params.beta, 1.0)):
         raise ValueError(f"roots in closed form require beta == 1, got beta={params.beta}")
-    a, k, i0 = params.alpha, params.k, params.i0
-    return Beta1Roots(
-        q_root1=1.0,
-        q_root2=a ** (1.0 / k),
-        q_min=a ** (1.0 / (2.0 * k)),
-        g_min=-(i0 * (math.sqrt(a) - 1.0) ** 2 / k),
-    )
+    return Beta1Roots(*_entrywise(_beta1_roots, 4, float, params.alpha, params.k, params.i0))
 
 
-def positive_gain_condition(params: ControlParams, q: float) -> bool:
+def positive_gain_condition(params: ControlParams, q) -> bool | np.ndarray:
     """True when (1 - alpha) * ln(q) >= 0.
 
     Under this condition the total gain is bounded below by
     i0 * (1 - alpha) * ln(q) >= 0 for every k > 0 and beta > 0.  When it
     fails there are always small feedback gains with negative total gain.
+    An array alpha or q broadcasts to an array of bools, each entry that of
+    the call on its numbers.
     """
     _check_ratio(q)
-    return (1.0 - params.alpha) * math.log(q) >= 0.0
+    return _entrywise(lambda a, q: (1.0 - a) * math.log(q) >= 0.0, 1, bool, params.alpha, q)
 
 
 # prices in one block of an executor run or a simulation, chosen by
@@ -229,7 +244,6 @@ class StrategyTrace:
     place of those five arrays.
     """
 
-    times: np.ndarray
     prices: np.ndarray
     params: ControlParams
     gain: np.ndarray
@@ -277,7 +291,7 @@ class StrategyTrace:
         return self.gain[..., -1].copy()
 
 
-def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
+def run_strategy(params: ControlParams, prices) -> StrategyTrace:
     """Run the discrete feedback strategy over a price series.
 
     For step n with simple return r_n = (p[n+1] - p[n]) / p[n] the books
@@ -320,16 +334,7 @@ def run_strategy(params: ControlParams, prices, times=None) -> StrategyTrace:
     p = np.asarray(prices, dtype=float)
     if p.ndim == 0 or p.shape[-1] < 1:
         raise ValueError("price series must contain at least one price")
-    gain = _run(params, p)
-    n = p.shape[-1]
-    # checked after the prices, whose error comes first
-    if times is None:
-        times = np.arange(n)
-    else:
-        times = np.asarray(times)
-        if times.shape != (n,):
-            raise ValueError(f"times must have shape ({n},), got {times.shape}")
-    return StrategyTrace(times=times, prices=p, params=params, gain=gain)
+    return StrategyTrace(prices=p, params=params, gain=_run(params, p))
 
 
 def _run(params: ControlParams, p: np.ndarray, books=None) -> np.ndarray:

@@ -18,7 +18,6 @@ from gsls import (
     gain_total_closed,
     gain_variance,
     run_strategy,
-    simulate_path,
     simulate_paths,
 )
 
@@ -95,15 +94,6 @@ def test_simulate_paths_validation():
         simulate_paths(gp, 100.0, 0, 1, seed=0)
     with pytest.raises(ValueError):
         simulate_paths(gp, 100.0, 10, 0, seed=0)
-
-
-def test_simulate_path_wrapper():
-    gp = GbmParams(0.1, 0.2)
-    path = simulate_path(gp, 100.0, 25, seed=9)
-    assert path.steps == 25
-    assert path.p0 == 100.0
-    assert path.params is gp
-    np.testing.assert_array_equal(path.prices, simulate_paths(gp, 100.0, 25, 1, 9)[0])
 
 
 def test_terminal_ratio_mean_matches_lognormal_mean():
@@ -396,6 +386,33 @@ def test_gain_variance_where_only_a_factor_overflows_is_finite():
         assert np.isinf(_product_form_variance(cp, gp, 1.0))
         v = gain_variance(cp, gp, 1.0)
     assert v == pytest.approx(float(_decimal_variance(cp, gp, 1.0)), rel=1e-11)
+
+
+def test_gain_variance_repaired_entries_are_within_1e_15_of_mpmath():
+    # at (60, 3) the product form is non-finite on 410 of the default grid's 1000
+    # points; 190 of them lie inside the float range, and the repair must give each
+    # to within 1e-15 relative of a 60-digit reference, the other 220 as inf
+    import mpmath
+
+    cp, gp = _grid_points(), GbmParams(60.0, 3.0)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        plain = _product_form_variance(cp, gp, 1.0)
+        v = gain_variance(cp, gp, 1.0)
+    repaired = np.flatnonzero(~np.isfinite(plain))
+    assert len(repaired) == 410 and np.isfinite(v[repaired]).sum() == 190
+    largest = mpmath.mpf(float(np.finfo(float).max))
+    with mpmath.workdps(60):
+        for i in repaired.tolist():
+            k, ks = mpmath.mpf(cp.k[i]), mpmath.mpf(cp.k[i]) * mpmath.mpf(cp.beta[i])
+            c, m, s2 = mpmath.mpf(cp.alpha[i]) / mpmath.mpf(cp.beta[i]), mpmath.mpf(60), 9
+            exact = (1 / k) ** 2 * (
+                mpmath.exp(2 * k * m) * mpmath.expm1(k * k * s2)
+                + c * c * mpmath.exp(-2 * ks * m) * mpmath.expm1(ks * ks * s2)
+                + 2 * c * mpmath.exp((k - ks) * m) * mpmath.expm1(-k * ks * s2))
+            if math.isfinite(v[i]):
+                assert abs(v[i] - exact) <= 1e-15 * exact
+            else:
+                assert v[i] == np.inf and exact > largest
 
 
 EXTREME_GAIN = st.floats(1e-3, 1e3)

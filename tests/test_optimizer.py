@@ -107,7 +107,6 @@ def test_grid_spec_equally_spaced_default():
     assert g.k_values == tuple(0.5 * i for i in range(1, 11))
     assert g.alpha_values == g.k_values and g.beta_values == g.k_values
     assert g.size == 1000
-    assert not g.is_sls_only
     combos = list(g.combos())
     assert len(combos) == 1000
     assert combos[0] == (0.5, 0.5, 0.5)
@@ -120,7 +119,6 @@ def test_grid_spec_sls_only():
     assert g.alpha_values == (1.0,)
     assert g.beta_values == (1.0,)
     assert g.size == 10
-    assert g.is_sls_only
 
 
 def test_grid_spec_equally_spaced_validation():
@@ -372,7 +370,7 @@ def test_batched_search_equals_grid_search_row_by_row(rows, policy, grid, object
         except NoFiniteObjectiveError as exc:
             assert type(got) is NoFiniteObjectiveError and str(got) == str(exc)
             continue
-        assert (got.params, got.objective, got.target) == (want.params, want.objective, want.target)
+        assert (got.params, got.target) == (want.params, want.target)
         assert got.objective_value.hex() == want.objective_value.hex()
         # grid_search never returns a non-finite winner
         assert math.isfinite(got.objective_value)

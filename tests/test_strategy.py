@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsls
 from gsls import strategy as strategy_module
@@ -196,6 +198,43 @@ def test_beta1_roots_requires_beta_one():
         beta1_roots(ControlParams(1.0, 1.0, beta=2.0))
 
 
+def test_beta1_roots_requires_beta_one_at_every_entry():
+    with pytest.raises(ValueError, match="require beta == 1"):
+        beta1_roots(ControlParams(1.0, np.array([1.0, 2.0]), beta=np.array([1.0, 1.5])))
+
+
+POSITIVE = st.floats(1e-2, 1e2)
+COLUMN = st.lists(POSITIVE, min_size=1, max_size=4)
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(i0=COLUMN, k=COLUMN, alpha=COLUMN, q=COLUMN)
+def test_beta1_roots_and_positive_gain_condition_give_array_entries_the_number_bits(i0, k, alpha,
+                                                                                    q):
+    # i0 a number or a column, k a row, alpha along a third axis
+    i0_axis = np.array(i0).reshape(-1, 1, 1) if len(i0) > 1 else i0[0]
+    roots = beta1_roots(ControlParams(i0_axis, np.array(k).reshape(-1, 1), np.array(alpha)))
+    shape = (len(i0), len(k), len(alpha)) if len(i0) > 1 else (len(k), len(alpha))
+    assert all(field.shape == shape for field in roots)
+    i0_entries = np.broadcast_to(i0_axis, (len(i0), len(k), len(alpha)))
+    for (a, b, c), i0_n in np.ndenumerate(i0_entries):
+        one = beta1_roots(ControlParams(float(i0_n), k[b], alpha[c]))
+        assert all(type(value) is float for value in one)
+        index = (a, b, c) if len(i0) > 1 else (b, c)
+        assert _bits([field[index] for field in roots]) == _bits(one)
+    # alpha a column against a row of ratios, and a number alpha against the row
+    grid = positive_gain_condition(ControlParams(1.0, 1.0, np.array(alpha).reshape(-1, 1)),
+                                   np.array(q))
+    rows = [[positive_gain_condition(ControlParams(1.0, 1.0, a), q_n) for q_n in q] for a in alpha]
+    assert all(type(value) is bool for row in rows for value in row)
+    assert grid.dtype == bool and grid.tolist() == rows
+    assert positive_gain_condition(ControlParams(1.0, 1.0, alpha[0]), np.array(q)).tolist() == rows[0]
+
+
 def test_partials_match_central_differences():
     h = 1e-6
     rng = np.random.default_rng(15)
@@ -286,13 +325,6 @@ def test_final_gain_is_a_copy_that_does_not_pin_the_gain_array():
     final = trace.final_gain
     assert not np.shares_memory(final, trace.gain)
     np.testing.assert_array_equal(final, trace.gain[:, -1])
-
-
-def test_run_strategy_times_argument():
-    trace = run_strategy(ControlParams(1.0, 1.0), [1.0, 2.0], times=[0.0, 0.5])
-    assert trace.times[-1] == 0.5
-    with pytest.raises(ValueError):
-        run_strategy(ControlParams(1.0, 1.0), [1.0, 2.0], times=[0.0, 0.5, 1.0])
 
 
 @pytest.mark.parametrize("prices", [[], [100.0, -1.0], [100.0, 0.0], [100.0, math.nan], 5.0])

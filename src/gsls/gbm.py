@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategy import _BLOCK_PRICES, ControlParams, gain_total_closed
+from .strategy import _BLOCK_PRICES, ControlParams, _usable_cpus, gain_total_closed
 
 __all__ = [
     "GbmParams",
@@ -77,15 +77,19 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
     Identical seeds reproduce identical paths.  The returned array is the
     only one of that size: the paths are drawn in blocks of about
     _BLOCK_PRICES prices that stay in cache, each block's normal draws
-    filling one reused scratch buffer.  They become the log increments in
+    filling a reused scratch buffer.  They become the log increments in
     place, and their running sum, its exponential and the scaling by p0
     are written straight into the block's rows of the returned array.
     Drawing row blocks one after another consumes the generator's stream in
     the order one draw of shape (n_paths, steps) would, so the blocks do not
-    change the bits.  One thread does all of it: the generator is
-    sequential.  Each block is checked while it is in cache: a price that
-    overflows to inf or underflows to 0 raises ValueError, without a numpy
-    warning, as does a sigma whose square overflows.
+    change the bits.  With more than one block and more than one CPU in the
+    process's affinity mask, one helper thread draws the next block's
+    normals into a second buffer while this thread transforms the current
+    block; the one generator still draws the blocks in order, so the bits
+    do not depend on it.  One CPU or one block starts no thread.  Each
+    block is checked while it is in cache: a price that overflows to inf or
+    underflows to 0 raises ValueError, without a numpy warning, as does a
+    sigma whose square overflows.
     """
     if not (math.isfinite(p0) and p0 > 0.0):
         raise ValueError(f"p0 must be positive and finite, got {p0!r}")
@@ -101,11 +105,16 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
         drift = -math.inf
     out = np.empty((n_paths, steps + 1))
     step = max(1, _BLOCK_PRICES // steps)
-    z = np.empty((min(step, n_paths), steps))
-    for lo in range(0, n_paths, step):
-        rows = out[lo:lo + step]
-        block = z[:len(rows)]
+    blocks = [out[lo:lo + step] for lo in range(0, n_paths, step)]
+    helper = len(blocks) > 1 and _usable_cpus() > 1
+    z = np.empty((1 + helper, len(blocks[0]), steps))
+
+    def draw(i: int) -> np.ndarray:
+        block = z[i % len(z), :len(blocks[i])]
         rng.standard_normal(out=block)
+        return block
+
+    def transform(rows: np.ndarray, block: np.ndarray) -> None:
         with np.errstate(all="ignore"):  # the check below reports what went out of range
             block *= scale
             block += drift
@@ -119,6 +128,21 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
             raise ValueError(f"simulated prices must be positive and finite, got "
                              f"{float(high if low > 0.0 else low)!r} at mu {params.mu!r}, "
                              f"sigma {params.sigma!r}")
+
+    if not helper:
+        for i, rows in enumerate(blocks):
+            transform(rows, draw(i))
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    # leaving the pool waits for the draw in flight, so an error leaves no thread
+    with ThreadPoolExecutor(1) as pool:
+        drawn = pool.submit(draw, 0)
+        for i, rows in enumerate(blocks):
+            block = drawn.result()
+            if i + 1 < len(blocks):
+                drawn = pool.submit(draw, i + 1)
+            transform(rows, block)
     return out
 
 
@@ -181,8 +205,10 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     it reads inf, inf - inf when a book's term meets the covariance, or
     0 * inf; those entries alone are summed scaled by e**-top for the largest
     exponent top, with e**top applied last, so only a true overflow stays
-    non-finite, as +inf.  Where sigma**2*t is tiny the terms
-    cancel to O((sigma**2*t)**2), and a sum that rounding leaves below 0 reads 0.
+    non-finite, as +inf.  Where top itself overflows, the entry is +inf if
+    some e**b - 1 is positive and 0 if every one is 0.  Where sigma**2*t is
+    tiny the terms cancel to O((sigma**2*t)**2), and a sum that rounding
+    leaves below 0 reads 0.
     cp may carry arrays of gains; the square is np.square so that a scalar
     and an array round it the same way.
     """
@@ -209,11 +235,16 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
             top = np.maximum(np.maximum(bigs[0], bigs[1]), bigs[2])
             rel = sum(w * scale * -np.expm1(-np.abs(b)) * np.exp(big - top)
                       for w, (scale, _, b), big in zip((1.0, 1.0, -2.0), terms, bigs))
+            past = top == math.inf
             # past the clip every entry is 0 or inf, or 0 where rel is, as at sigma == 0
             top = np.clip(top, -_LN2_MAX_N * _LN2_HI, _LN2_MAX_N * _LN2_HI)
             n = np.rint(top / _LN2)
             r = (top - n * _LN2_HI) - n * _LN2_LO
             frac, exp2 = np.frexp(cp.i0 / k)
             scaled = np.ldexp(np.square(frac) * rel * np.exp(r), n.astype(np.int64) + 2 * exp2)
+            # an exponent past the float range made e**(big - top) e**(inf - inf): there
+            # the variance is inf if a term grows, and 0 if every e**b - 1 is 0
+            grows = (terms[0][2] > 0.0) | (terms[1][2] > 0.0) | (terms[2][2] > 0.0)
+            scaled = np.where(past, np.where(grows, math.inf, 0.0), scaled)
             var = np.where(bad, scaled, var)[()]
     return np.maximum(var, 0.0)

@@ -168,8 +168,16 @@ def _entrywise(fn, nout: int, dtype, *args):
     return [np.asarray(o, dtype=dtype) for o in out] if nout > 1 else np.asarray(out, dtype=dtype)
 
 
+def _float_power(a: float, e: float) -> float:
+    try:
+        return a ** e
+    except OverflowError:  # float ** raises where IEEE gives inf
+        return math.inf
+
+
 def _beta1_roots(a, k, i0) -> tuple:
-    return 1.0, a ** (1.0 / k), a ** (1.0 / (2.0 * k)), -(i0 * (math.sqrt(a) - 1.0) ** 2 / k)
+    return (1.0, _float_power(a, 1.0 / k), _float_power(a, 1.0 / (2.0 * k)),
+            -(i0 * (math.sqrt(a) - 1.0) ** 2 / k))
 
 
 def beta1_roots(params: ControlParams) -> Beta1Roots:
@@ -178,13 +186,16 @@ def beta1_roots(params: ControlParams) -> Beta1Roots:
     Through u = q**k the total gain factors as (i0/k) * (u-1) * (u-alpha) / u,
     so it vanishes at q = 1 and q = alpha**(1/k) and attains its global
     minimum -i0*(sqrt(alpha)-1)**2/k at q = alpha**(1/(2k)).  For alpha == 1
-    the roots coincide at q = 1 and the minimum is 0.  Array fields
+    the roots coincide at q = 1 and the minimum is 0.  A root past the float
+    range is inf, the IEEE value, where float ** would raise.  Array fields
     broadcast, and each field of the result is then an array whose entries
     have the bits of the call on that entry's numbers.
     """
     if np.any(np.not_equal(params.beta, 1.0)):
         raise ValueError(f"roots in closed form require beta == 1, got beta={params.beta}")
-    return Beta1Roots(*_entrywise(_beta1_roots, 4, float, params.alpha, params.k, params.i0))
+    # a power past the float range leaves the overflow flag that numpy's loop reports
+    with np.errstate(over="ignore"):
+        return Beta1Roots(*_entrywise(_beta1_roots, 4, float, params.alpha, params.k, params.i0))
 
 
 def positive_gain_condition(params: ControlParams, q) -> bool | np.ndarray:
@@ -236,17 +247,23 @@ class StrategyTrace:
     All arrays share the shape of the input prices with time along the last
     axis, so a batch of paths produces a batch of traces in one object.
 
-    run_strategy fills prices and the total gain.  The two investments
-    inv_long and inv_short come from one re-run of the executor on prices,
-    and gain_long, gain_short and inv_net from the investments and params,
-    each on first access, then cached on the instance, so a caller that
-    reads only gain never allocates them.  The constructor takes params in
-    place of those five arrays.
+    run_strategy fills prices, params and final_gain, the total gain at the
+    last price, one value per path in a read-only array.  The total gain
+    comes from a re-run of the executor on prices, and reading gain alone
+    allocates nothing else.  The two investments inv_long and inv_short
+    come from one re-run that also fills gain, if it is not yet read, and
+    gain_long, gain_short and inv_net from the investments and params, each
+    on first access, then cached on the instance, so a caller that reads
+    only final_gain never allocates an array of the prices' shape.
     """
 
     prices: np.ndarray
     params: ControlParams
-    gain: np.ndarray
+    final_gain: np.ndarray
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        return self._rerun(None)
 
     @cached_property
     def inv_long(self) -> np.ndarray:
@@ -257,20 +274,27 @@ class StrategyTrace:
         return self._books()[1]
 
     def _books(self) -> list[np.ndarray]:
-        """Both investments from one re-run of the executor, cached together.
-
-        The run that made gain did the same operations under the caller's
-        numpy error state, so this one ignores floating-point errors.  It
-        raises ValueError when the gain it makes differs from gain in any
-        bit, as it does when the prices changed after the run.
-        """
+        """Both investments from one re-run of the executor, cached together with gain."""
         books = [np.empty(self.prices.shape) for _ in range(2)]
-        with np.errstate(all="ignore"):
-            gain = _run(self.params, self.prices, books)
-        if not np.array_equal(gain.view(np.uint64), self.gain.view(np.uint64)):
-            raise ValueError("prices changed after the run; its investments are lost")
+        gain = self._rerun(books)
+        vars(self).setdefault("gain", gain)
         vars(self).update(inv_long=books[0], inv_short=books[1])
         return books
+
+    def _rerun(self, books) -> np.ndarray:
+        """The gain from a re-run of the executor on prices, with books as _run takes them.
+
+        The run that made final_gain did the same operations on the last
+        column under the caller's numpy error state, so this one ignores
+        floating-point errors.  It raises ValueError when its last column
+        differs from final_gain in any bit, as it does when the prices
+        changed after the run.
+        """
+        with np.errstate(all="ignore"):
+            gain = _run(self.params, self.prices, books)
+        if not np.array_equal(gain[..., -1].view(np.uint64), self.final_gain.view(np.uint64)):
+            raise ValueError("prices changed after the run; its trace is lost")
+        return gain
 
     @cached_property
     def gain_long(self) -> np.ndarray:
@@ -285,11 +309,6 @@ class StrategyTrace:
     def inv_net(self) -> np.ndarray:
         return self.inv_long + self.inv_short
 
-    @property
-    def final_gain(self):
-        # a copy, so keeping final gains does not keep every full gain array
-        return self.gain[..., -1].copy()
-
 
 def run_strategy(params: ControlParams, prices) -> StrategyTrace:
     """Run the discrete feedback strategy over a price series.
@@ -303,7 +322,8 @@ def run_strategy(params: ControlParams, prices) -> StrategyTrace:
     with investments recomputed from the gains after every step.  Each
     update multiplies the running long investment by (1 + k*r_n) and the
     short investment by (1 - beta*k*r_n), so the whole trace follows from
-    cumulative products of those factors.
+    cumulative products of those factors, and the final gain from their
+    products.
 
     The final gain converges to gain_total_closed at first order in the
     step size.  On the geometric path q**(n/N), expanding
@@ -317,33 +337,42 @@ def run_strategy(params: ControlParams, prices) -> StrategyTrace:
     treated as independent paths.  Each field of params is a number or holds
     one value per path, as an array that broadcasts to prices.shape[:-1] + (1,).
 
-    A run allocates only the gain, and one scratch buffer of one block per
-    thread.  It works through the paths in blocks of about _BLOCK_PRICES
-    prices that stay in cache: per block it checks the prices, writes the
-    returns into the scratch buffer, and forms the factors and their
-    cumulative products in place, the long book's in the block's gain rows
-    and the short book's in the scratch buffer, which then become the gain.
-    The blocks are spread over threads, one per CPU in the process's
-    affinity mask, each running under the caller's numpy error state; one
-    CPU or one block starts no thread.  Every value comes from the same
-    operations in the same order whatever the blocks and threads, so the
-    bits do not depend on the number of CPUs.  The trace's investments come
-    from the same block loop, run again on first access with the books
-    written to arrays of their own.
+    A run computes only the final gains, in two scratch buffers per thread
+    that together hold one block of about _BLOCK_PRICES prices.  It works
+    through the paths in half blocks that stay in cache: per half block it
+    checks the prices, copies them into one buffer and their returns into
+    the other, forms each book's factors in a buffer and reduces them to one
+    product per path, from which the final gains follow.  The half blocks
+    are spread over threads, one per CPU in the process's affinity mask,
+    each running under the caller's numpy error state; one CPU, or paths
+    that fit in one block, starts no thread.  Every value comes from
+    the same operations in the same order whatever the blocks and threads,
+    so the bits do not depend on the number of CPUs.  The trace's gain and
+    investments come from the same block loop, run again on first access
+    with cumulative products in place of the products.
     """
     p = np.asarray(prices, dtype=float)
     if p.ndim == 0 or p.shape[-1] < 1:
         raise ValueError("price series must contain at least one price")
-    return StrategyTrace(prices=p, params=params, gain=_run(params, p))
+    final = _run(params, p, final=True)
+    final.flags.writeable = False
+    return StrategyTrace(prices=p, params=params, final_gain=final)
 
 
-def _run(params: ControlParams, p: np.ndarray, books=None) -> np.ndarray:
-    """run_strategy's block loop over the float prices p; returns the gain.
+def _run(params: ControlParams, p: np.ndarray, books=None, final: bool = False) -> np.ndarray:
+    """run_strategy's block loop over the float prices p.
 
-    books is None, when each block's two investments live in its gain rows
-    and its thread's scratch buffer, or two arrays of p's shape that receive
-    inv_long and inv_short.  Either way the gain comes from the same
-    operations in the same order.
+    final returns the final gains alone, of shape p.shape[:-1].  Its blocks
+    are then half as long, each is copied with time along the first axis
+    into a second scratch buffer, and each book's factors are reduced along
+    that axis by np.multiply.  It folds a float multiply from the left, the
+    order np.cumprod multiplies in, so each product has the bits of a
+    cumulative product's last column; along that axis the fold multiplies
+    one price of every path at a time, in vector registers, instead of one
+    path's prices one after another.  Otherwise it returns the gain, and
+    books is None, when each
+    block's two investments live in its gain rows and its thread's scratch
+    buffer, or two arrays of p's shape that receive inv_long and inv_short.
     """
     n = p.shape[-1]
     rows = p.reshape(-1, n)
@@ -351,8 +380,10 @@ def _run(params: ControlParams, p: np.ndarray, books=None) -> np.ndarray:
     # one value per row, or a scalar for all of them
     per_row = [v if np.ndim(v) == 0 else np.broadcast_to(v, p.shape[:-1] + (1,)).reshape(-1, 1)
                for v in (params.i0, params.k, params.k_short, params.alpha * params.i0)]
-    gain = np.empty(p.shape)
-    outs = [a.reshape(-1, n) for a in (gain, *(books or ()))]
+    gain = np.empty(p.shape[:-1] if final else p.shape)
+    outs = [a.reshape(n_rows, -1) for a in (gain, *(books or ()))]
+    buffers, fold = ((2, lambda a: np.multiply.reduce(a, axis=0, keepdims=True)) if final
+                     else (1, lambda a: np.cumprod(a, axis=-1, out=a)))
 
     def trade(lo: int, hi: int, scratch: np.ndarray) -> None:
         block = rows[lo:hi]
@@ -361,35 +392,46 @@ def _run(params: ControlParams, p: np.ndarray, books=None) -> np.ndarray:
             raise ValueError("prices must be finite and strictly positive")
         i0, k, k_short, alpha_i0 = (v if np.ndim(v) == 0 else v[lo:hi] for v in per_row)
         g, *book_rows = (a[lo:hi] for a in outs)
-        # r[:, j] is the return into price j, and r[:, 0] = 0 gives each book
-        # the unit factor 1 + 0 there, so every pass below covers whole rows
-        # and, for scalar parameters, runs as one flat loop over the block
-        flat, r_flat = block.ravel(), scratch[:block.size]
-        r = r_flat.reshape(block.shape)
-        np.subtract(flat[1:], flat[:-1], out=r_flat[1:])
-        r[:, 0] = 0.0
-        r_flat[1:] /= flat[:-1]
-        long_, short = book_rows or (g, r)
+        if final:  # time along the first axis; the long book's factors overwrite the prices
+            long_ = scratch[1, :block.size].reshape(n, -1)
+            np.copyto(long_, block.T)
+            i0, k, k_short, alpha_i0, g = (v if np.ndim(v) == 0 else v.T
+                                           for v in (i0, k, k_short, alpha_i0, g))
+            block, lag, first = long_, long_.shape[1], 0
+            r = short = scratch[0, :block.size].reshape(block.shape)
+        else:
+            lag, first = 1, (slice(None), 0)
+            r = scratch[0, :block.size].reshape(block.shape)
+            long_, short = book_rows or (g, r)
+        # r holds the return into each price, and a first return of 0 gives each
+        # book the unit factor 1 + 0 there, so every pass below covers whole
+        # paths and, for scalar parameters, runs as one flat loop over the block
+        flat, r_flat = block.ravel(), r.ravel()
+        np.subtract(flat[lag:], flat[:-lag], out=r_flat[lag:])
+        r[first] = 0.0
+        r_flat[lag:] /= flat[:-lag]
 
         np.multiply(r, k, out=long_)
         long_ += 1.0
-        np.cumprod(long_, axis=-1, out=long_)
+        long_ = fold(long_)
         long_ *= i0
 
         r *= k_short
         np.subtract(1.0, r, out=short)
-        np.cumprod(short, axis=-1, out=short)
+        short = fold(short)
         short *= -alpha_i0
 
         _gain_long(long_, i0, k, out=g)
-        g += _gain_short(short, alpha_i0, k_short, out=r)
+        g += _gain_short(short, alpha_i0, k_short, out=short if final else r)
 
-    step = max(1, _BLOCK_PRICES // n)
+    step = max(1, _BLOCK_PRICES // (buffers * n))
     starts = range(0, n_rows, step)
-    workers = min(_usable_cpus(), len(starts))
+    # threads only where the paths fill more than one block of _BLOCK_PRICES, as
+    # in a run with one buffer, so halving the blocks starts no thread
+    workers = min(_usable_cpus(), -(-n_rows // max(1, _BLOCK_PRICES // n)))
 
     def work(share: range) -> None:
-        scratch = np.empty(min(step, n_rows) * n)
+        scratch = np.empty((buffers, min(step, n_rows) * n))
         for lo in share:
             trade(lo, min(lo + step, n_rows), scratch)
 

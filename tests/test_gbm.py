@@ -1,7 +1,9 @@
 """GBM simulation, MLE estimation, and closed-form gain moments."""
 
+import concurrent.futures
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -57,13 +59,43 @@ def _one_shot_paths(params, p0, steps, n_paths, seed):
                                             (16, 25), (5, 301), (400, 252)])
 def test_simulate_paths_in_blocks_equals_one_draw_bit_for_bit(monkeypatch, block_prices,
                                                                n_paths, steps):
-    # blocks of 50 prices: rows of 20 go two to a block, rows over 50 one to a block
+    # blocks of 50 prices: rows of 20 go two to a block, rows over 50 one to a block;
+    # on more than one CPU a helper thread draws the next block while this one transforms
     monkeypatch.setattr(gbm_module, "_BLOCK_PRICES", block_prices)
     params, seed = GbmParams(0.3, 0.45, dt=0.01), [4, n_paths, steps]
-    got = simulate_paths(params, 37.5, steps, n_paths, seed)
     expected = _one_shot_paths(params, 37.5, steps, n_paths, seed)
-    assert got.shape == expected.shape == (n_paths, steps + 1)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(gbm_module, "_usable_cpus", lambda: cpus)
+        got = simulate_paths(params, 37.5, steps, n_paths, seed)
+        assert got.shape == expected.shape == (n_paths, steps + 1)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64),
+                                      err_msg=f"{cpus} CPUs")
+
+
+@pytest.mark.parametrize("block_prices, cpus", [(50, 1), (1 << 20, 2)])
+def test_simulate_paths_on_one_cpu_or_in_one_block_starts_no_thread(monkeypatch, block_prices,
+                                                                     cpus):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(gbm_module, "_BLOCK_PRICES", block_prices)
+    monkeypatch.setattr(gbm_module, "_usable_cpus", lambda: cpus)
+    params = GbmParams(0.3, 0.45, dt=0.01)
+    got = simulate_paths(params, 37.5, 20, 13, 8)
+    expected = _one_shot_paths(params, 37.5, 20, 13, 8)
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_simulate_paths_with_a_draw_in_flight_raises_and_leaves_no_thread(monkeypatch):
+    # prices overflow in the first of 13 blocks, while the helper draws the second
+    monkeypatch.setattr(gbm_module, "_BLOCK_PRICES", 40)
+    monkeypatch.setattr(gbm_module, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^simulated prices must be positive and finite"):
+        simulate_paths(GbmParams(1e5, 0.2), 100.0, 20, 26, seed=0)
+    assert threading.active_count() == threads
+
 
 def test_simulate_paths_seed_reproducibility():
     gp = GbmParams(0.05, 0.3)
@@ -376,6 +408,23 @@ def test_gain_variance_past_the_float_range_is_inf_not_nan():
     # the scalar API gives the grid's value
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         assert gain_variance(ControlParams(1.0, 3.0, 0.5, 5.0), gp, 1.0) == np.inf
+
+
+@pytest.mark.parametrize("mu, sigma, expected", [
+    (1e306, 0.1, math.inf),  # e**(2*k*mu*t) past the float range, times e**25 - 1
+    (-1e306, 0.0, 0.0),  # sigma*t = 0: every e**b - 1 is 0
+    (0.1, 1e153, math.inf),  # (k*sigma)**2 * t overflows to inf
+])
+def test_gain_variance_where_an_exponent_overflows_upward_is_not_nan(mu, sigma, expected):
+    cp, gp = ControlParams(1.0, 5.0), GbmParams(mu, sigma)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert gain_variance(cp, gp, 100.0) == expected
+        # an array entry gives the number call's value, and the finite entries beside it
+        # keep their bits
+        grid = gain_variance(ControlParams(1.0, np.array([5.0, 1e-300])), gp, 100.0)
+        alone = gain_variance(ControlParams(1.0, 1e-300), gp, 100.0)
+    assert grid[0] == expected
+    np.testing.assert_array_equal(grid[1:].view(np.uint64), np.array([alone]).view(np.uint64))
 
 
 def test_gain_variance_where_only_a_factor_overflows_is_finite():

@@ -203,6 +203,17 @@ def test_beta1_roots_requires_beta_one_at_every_entry():
         beta1_roots(ControlParams(1.0, np.array([1.0, 2.0]), beta=np.array([1.0, 1.5])))
 
 
+def test_beta1_roots_past_the_float_range_are_inf():
+    # 100**1000 overflows a float, where float ** raises
+    one = beta1_roots(ControlParams(1.0, 0.001, alpha=100.0))
+    assert one.q_root2 == one.q_min == math.inf
+    assert all(type(value) is float for value in one)
+    grid = beta1_roots(ControlParams(1.0, np.array([1.0, 0.001]), alpha=100.0))
+    for i, k in enumerate([1.0, 0.001]):
+        alone = beta1_roots(ControlParams(1.0, k, alpha=100.0))
+        assert _bits([field[i] for field in grid]) == _bits(alone)
+
+
 POSITIVE = st.floats(1e-2, 1e2)
 COLUMN = st.lists(POSITIVE, min_size=1, max_size=4)
 
@@ -578,3 +589,83 @@ def test_reading_the_investments_after_the_prices_changed_raises(change):
         trace.inv_net
     assert {"inv_long", "inv_short", "inv_net"}.isdisjoint(vars(trace))
     _same_bits(trace.gain, gain, "gain")
+
+
+def _with_overflowing_path(prices):
+    """prices whose last path alternates 1 and 1e130, so that its books overflow."""
+    prices = prices.copy()
+    prices[(-1,) * (prices.ndim - 1)] = np.where(np.arange(prices.shape[-1]) % 2, 1e130, 1.0)
+    return prices
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", sorted(_BLOCKED))
+def test_final_gain_is_the_gains_last_column_bit_for_bit(monkeypatch, name, workers, overflow):
+    prices, params, block_prices = _BLOCKED[name]
+    if overflow:
+        prices = _with_overflowing_path(prices)
+    _force(monkeypatch, block_prices, workers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = run_strategy(params, prices)
+        eager = _eager_trace(params, prices)["gain"]
+    assert "gain" not in vars(trace)
+    _same_bits(trace.final_gain, eager[..., -1], "final gain against the eager gain")
+    _same_bits(trace.final_gain, trace.gain[..., -1], "final gain against the trace's gain")
+    _same_bits(trace.gain, eager, "gain")
+    assert np.isfinite(trace.final_gain).all() != overflow
+
+
+def test_final_gain_is_read_only():
+    trace = run_strategy(ControlParams(1.0, 2.0), _walk((3, 20), 47))
+    with pytest.raises(ValueError, match="read-only"):
+        trace.final_gain[0] = 0.0
+
+
+def test_the_final_gains_allocate_under_a_quarter_of_the_prices(monkeypatch):
+    _force(monkeypatch, 1 << 17, 1)
+    paths = _walk((4000, 253), 44)
+    params = ControlParams(1.0, 2.0, alpha=0.5, beta=1.5)
+    tracemalloc.start()
+    try:
+        final = run_strategy(params, paths).final_gain
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert final.shape == (4000,)
+    assert peak < paths.nbytes / 4
+
+
+def test_one_rerun_serves_the_gain_and_both_investments(monkeypatch):
+    prices, params, block_prices = _BLOCKED["row-columns"]
+    _force(monkeypatch, block_prices, 3)
+    trace, alone = run_strategy(params, prices), run_strategy(params, prices)
+    assert {"gain", "inv_long", "inv_short"}.isdisjoint(vars(trace))
+    runs = []
+    run = strategy_module._run
+    monkeypatch.setattr(strategy_module, "_run", lambda *args: runs.append(args) or run(*args))
+    long_ = trace.inv_long
+    for field in ("gain", "inv_short", "inv_net", "gain_long", "gain_short"):
+        getattr(trace, field)
+    assert len(runs) == 1
+    assert vars(trace)["gain"] is trace.gain and vars(trace)["inv_long"] is long_
+    _same_bits(trace.gain, _eager_trace(params, prices)["gain"], "gain")
+    # reading the gain first re-runs for it alone, and leaves the investments unmade
+    _same_bits(alone.gain, trace.gain, "gain read first")
+    assert {"inv_long", "inv_short"}.isdisjoint(vars(alone))
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("change", ["scale-one-price", "scale-one-path"])
+def test_reading_the_gain_after_the_prices_changed_raises(change):
+    prices = _walk((6, 40), 46)
+    trace = run_strategy(ControlParams(1.0, 2.0, alpha=0.5, beta=1.5), prices)
+    final = trace.final_gain.copy()
+    if change == "scale-one-price":
+        prices[2, 17] *= 1.001
+    else:
+        prices[4, 20:] *= 1.5
+    with pytest.raises(ValueError, match="^prices changed after the run"):
+        trace.gain
+    assert {"gain", "inv_long", "inv_short"}.isdisjoint(vars(trace))
+    _same_bits(trace.final_gain, final, "final gain")

@@ -205,10 +205,12 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     it reads inf, inf - inf when a book's term meets the covariance, or
     0 * inf; those entries alone are summed scaled by e**-top for the largest
     exponent top, with e**top applied last, so only a true overflow stays
-    non-finite, as +inf.  Where top itself overflows, the entry is +inf if
-    some e**b - 1 is positive and 0 if every one is 0.  Where sigma**2*t is
-    tiny the terms cancel to O((sigma**2*t)**2), and a sum that rounding
-    leaves below 0 reads 0.
+    non-finite, as +inf.  There an exponent b that reads inf * 0 is formed
+    again from k*sigma, and a book's a + b that reads -inf + inf takes the
+    sign of the exact sum.  Where top itself overflows, the entry is +inf if
+    some e**b - 1 is positive and 0 if every one is 0, and where sigma or t
+    is 0 it is 0.  Where sigma**2*t is tiny the terms cancel to
+    O((sigma**2*t)**2), and a sum that rounding leaves below 0 reads 0.
     cp may carry arrays of gains; the square is np.square so that a scalar
     and an array round it the same way.
     """
@@ -218,10 +220,10 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
     c = cp.alpha / cp.beta
     m = gp.mu
     s2 = gp.sigma * gp.sigma
-    # (scale, a, b) of the long term, the short term and the covariance
-    terms = [(1.0, 2.0 * k * m * t, k * k * s2 * t),
-             (c * c, -2.0 * ks * m * t, ks * ks * s2 * t),
-             (c, (k - ks) * m * t, -(k * ks) * s2 * t)]
+    # (scale, x, y) of the long term, the short term and the covariance, where x and y
+    # are the signed gains of the two books in the term, and its (scale, a, b)
+    pairs = [(1.0, k, k), (c * c, -ks, -ks), (c, k, -ks)]
+    terms = [(scale, (x + y) * m * t, x * y * s2 * t) for scale, x, y in pairs]
     var_long, var_short, cov = (scale * np.exp(a) * np.expm1(b) for scale, a, b in terms)
     var = np.square(cp.i0 / k) * (var_long + var_short + 2.0 * cov)
     bad = ~np.isfinite(var)
@@ -230,8 +232,15 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
         # weights and signs w = 1, 1, -2, as w * scale * (1 - e**-|b|) * e**(big - top),
         # where big = a + max(b, 0) and top is the largest big; then apply e**top as
         # 2**n * e**r, and (i0/k)**2 likewise, so no partial result overflows
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # b read inf * 0 where k*k or sigma**2 left the float range: take it from k*sigma
+            terms = [(scale, a, np.where(np.isnan(b), x * gp.sigma * (y * gp.sigma) * t, b))
+                     for (scale, a, b), (_, x, y) in zip(terms, pairs)]
             bigs = [a + np.maximum(b, 0.0) for _, a, b in terms]
+            # a book's a = -inf met b = +inf; its a + b = 2*x*t*(mu + x*sigma**2/2) has
+            # the sign of x*(mu + x*sigma**2/2), which does not overflow to NaN
+            bigs = [np.where(np.isnan(big), np.copysign(math.inf, x * (m + 0.5 * x * s2)), big)
+                    for big, (_, x, _) in zip(bigs, pairs)]
             top = np.maximum(np.maximum(bigs[0], bigs[1]), bigs[2])
             rel = sum(w * scale * -np.expm1(-np.abs(b)) * np.exp(big - top)
                       for w, (scale, _, b), big in zip((1.0, 1.0, -2.0), terms, bigs))
@@ -246,5 +255,7 @@ def gain_variance(cp: ControlParams, gp: GbmParams, t):
             # the variance is inf if a term grows, and 0 if every e**b - 1 is 0
             grows = (terms[0][2] > 0.0) | (terms[1][2] > 0.0) | (terms[2][2] > 0.0)
             scaled = np.where(past, np.where(grows, math.inf, 0.0), scaled)
+            # where sigma or t is 0 the variance is 0, whatever inf * 0 made of a or b
+            scaled = np.where((gp.sigma == 0.0) | (np.asarray(t) == 0.0), 0.0, scaled)
             var = np.where(bad, scaled, var)[()]
     return np.maximum(var, 0.0)

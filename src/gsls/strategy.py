@@ -212,10 +212,9 @@ def positive_gain_condition(params: ControlParams, q) -> bool | np.ndarray:
 
 
 # prices in one block of an executor run or a simulation, chosen by
-# measurement on two vCPUs: on one thread blocks of 2**15 prices, whose
-# arrays fit in L2, ran the executor 6% faster than 2**17, but on two
-# threads 2**17 ran it 25% faster, because fewer blocks pass the GIL back
-# and forth less often
+# measurement on one thread of a 2-vCPU x86-64 box: 12 final-gain runs on
+# 4000 paths of 253 prices took a median 69, 57, 55 and 58 ms in blocks of
+# 2**15, 2**16, 2**17 and 2**18 prices
 _BLOCK_PRICES = 1 << 17
 
 
@@ -337,19 +336,16 @@ def run_strategy(params: ControlParams, prices) -> StrategyTrace:
     treated as independent paths.  Each field of params is a number or holds
     one value per path, as an array that broadcasts to prices.shape[:-1] + (1,).
 
-    A run computes only the final gains, in two scratch buffers per thread
-    that together hold one block of about _BLOCK_PRICES prices.  It works
-    through the paths in half blocks that stay in cache: per half block it
-    checks the prices, copies them into one buffer and their returns into
-    the other, forms each book's factors in a buffer and reduces them to one
-    product per path, from which the final gains follow.  The half blocks
-    are spread over threads, one per CPU in the process's affinity mask,
-    each running under the caller's numpy error state; one CPU, or paths
-    that fit in one block, starts no thread.  Every value comes from
-    the same operations in the same order whatever the blocks and threads,
-    so the bits do not depend on the number of CPUs.  The trace's gain and
-    investments come from the same block loop, run again on first access
-    with cumulative products in place of the products.
+    A run computes only the final gains, on the calling thread, in two
+    scratch buffers that together hold one block of about _BLOCK_PRICES
+    prices.  It works through the paths in half blocks that stay in cache:
+    per half block it checks the prices, copies them into one buffer and
+    their returns into the other, forms each book's factors in a buffer and
+    reduces them to one product per path, from which the final gains
+    follow.  Every value comes from the same operations in the same order
+    whatever the blocks, so the bits do not depend on the block size.  The
+    trace's gain and investments come from the same block loop, run again
+    on first access with cumulative products in place of the products.
     """
     p = np.asarray(prices, dtype=float)
     if p.ndim == 0 or p.shape[-1] < 1:
@@ -370,9 +366,9 @@ def _run(params: ControlParams, p: np.ndarray, books=None, final: bool = False) 
     cumulative product's last column; along that axis the fold multiplies
     one price of every path at a time, in vector registers, instead of one
     path's prices one after another.  Otherwise it returns the gain, and
-    books is None, when each
-    block's two investments live in its gain rows and its thread's scratch
-    buffer, or two arrays of p's shape that receive inv_long and inv_short.
+    books is None, when each block's two investments live in its gain rows
+    and the scratch buffer, or two arrays of p's shape that receive
+    inv_long and inv_short.
     """
     n = p.shape[-1]
     rows = p.reshape(-1, n)
@@ -385,7 +381,10 @@ def _run(params: ControlParams, p: np.ndarray, books=None, final: bool = False) 
     buffers, fold = ((2, lambda a: np.multiply.reduce(a, axis=0, keepdims=True)) if final
                      else (1, lambda a: np.cumprod(a, axis=-1, out=a)))
 
-    def trade(lo: int, hi: int, scratch: np.ndarray) -> None:
+    step = max(1, _BLOCK_PRICES // (buffers * n))
+    scratch = np.empty((buffers, min(step, n_rows) * n))
+    for lo in range(0, n_rows, step):
+        hi = lo + step
         block = rows[lo:hi]
         # a NaN makes the minimum NaN, so both comparisons fail on it
         if not (block.min() > 0.0 and block.max() < math.inf):
@@ -423,31 +422,4 @@ def _run(params: ControlParams, p: np.ndarray, books=None, final: bool = False) 
 
         _gain_long(long_, i0, k, out=g)
         g += _gain_short(short, alpha_i0, k_short, out=short if final else r)
-
-    step = max(1, _BLOCK_PRICES // (buffers * n))
-    starts = range(0, n_rows, step)
-    # threads only where the paths fill more than one block of _BLOCK_PRICES, as
-    # in a run with one buffer, so halving the blocks starts no thread
-    workers = min(_usable_cpus(), -(-n_rows // max(1, _BLOCK_PRICES // n)))
-
-    def work(share: range) -> None:
-        scratch = np.empty((buffers, min(step, n_rows) * n))
-        for lo in share:
-            trade(lo, min(lo + step, n_rows), scratch)
-
-    if workers <= 1:
-        work(starts)
-    else:
-        import contextvars
-        from concurrent.futures import ThreadPoolExecutor
-
-        # contiguous shares in block order, so the first failing share holds the
-        # error a serial loop would raise; new threads do not inherit numpy's
-        # error state, a context variable, so each share runs in a copy of ours
-        cuts = [len(starts) * j // workers for j in range(workers + 1)]
-        with ThreadPoolExecutor(workers) as pool:
-            runs = [pool.submit(contextvars.copy_context().run, work, starts[a:b])
-                    for a, b in zip(cuts, cuts[1:])]
-        for run in runs:
-            run.result()
     return gain

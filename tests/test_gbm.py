@@ -427,6 +427,24 @@ def test_gain_variance_where_an_exponent_overflows_upward_is_not_nan(mu, sigma, 
     np.testing.assert_array_equal(grid[1:].view(np.uint64), np.array([alone]).view(np.uint64))
 
 
+@pytest.mark.parametrize("k, mu, sigma, t, expected", [
+    # k*k*sigma**2*t reads inf * 0, and the variance is 0 at sigma 0 or t 0
+    (1e200, 0.1, 0.0, 1.0, 0.0),
+    (1e200, 0.0, 0.0, 1.0, 0.0),
+    (2.0, 0.1, 1e160, 0.0, 0.0),
+    (1000.0, 0.0, 1e152, 0.0, 0.0),
+    # 2*k*mu*t reads inf * 0
+    (2.0, 1e308, 0.2, 0.0, 0.0),
+    # a = 2*k*mu*t overflows to -inf or +inf and b = k**2*sigma**2*t to +inf; one
+    # book's a + b is +inf
+    (5.0, 1e306, 1e153, 100.0, math.inf),
+    (5.0, -1e306, 1e153, 100.0, math.inf),
+])
+def test_gain_variance_where_an_exponent_reads_nan_is_its_limit(k, mu, sigma, t, expected):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        assert gain_variance(ControlParams(1.0, k), GbmParams(mu, sigma), t) == expected
+
+
 def test_gain_variance_where_only_a_factor_overflows_is_finite():
     # e**(2*k*mu*t) = e**710 overflows, but times expm1(0.01) the long-book
     # term is about e**705.4, inside the float range
@@ -465,11 +483,16 @@ def test_gain_variance_repaired_entries_are_within_1e_15_of_mpmath():
 
 
 EXTREME_GAIN = st.floats(1e-3, 1e3)
+# the float range's edges: k*k, sigma**2 and k*mu*t overflow, and t = 0 meets them
+WIDE_K = st.one_of(EXTREME_GAIN, st.floats(1e-3, 1e200))
+WIDE_MU = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e308, 1e308),
+                    st.sampled_from([0.0, 60.0, -60.0, 400.0]))
+WIDE_SIGMA = st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e160))
+WIDE_T = st.one_of(st.floats(0.0, 100.0), st.just(0.0))
 
 
 @settings(max_examples=400, deadline=None)
-@given(mu=st.floats(-1e3, 1e3), sigma=st.floats(0.0, 50.0), t=st.floats(0.0, 100.0),
-       k=EXTREME_GAIN, alpha=EXTREME_GAIN, beta=EXTREME_GAIN)
+@given(mu=WIDE_MU, sigma=WIDE_SIGMA, t=WIDE_T, k=WIDE_K, alpha=EXTREME_GAIN, beta=EXTREME_GAIN)
 def test_gain_moments_raise_or_are_never_nan(mu, sigma, t, k, alpha, beta):
     cp, gp = ControlParams(1.0, k, alpha, beta), GbmParams(mu, sigma)
     for moment in (expected_gain, gain_variance):
@@ -489,11 +512,11 @@ def _points(k, alpha, beta):
 EXTREME_POINTS = st.lists(st.tuples(EXTREME_GAIN, EXTREME_GAIN, EXTREME_GAIN),
                           min_size=1, max_size=6)
 EXTREME_MU = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 60.0, -60.0, 400.0]))
+WIDE_POINTS = st.lists(st.tuples(WIDE_K, EXTREME_GAIN, EXTREME_GAIN), min_size=1, max_size=6)
 
 
 @settings(max_examples=400, deadline=None)
-@given(mu=EXTREME_MU, sigma=st.floats(0.0, 50.0), t=st.floats(0.0, 100.0),
-       points=EXTREME_POINTS)
+@given(mu=WIDE_MU, sigma=WIDE_SIGMA, t=WIDE_T, points=WIDE_POINTS)
 # alpha = 1 at mu = 0: the terms cancel to about 1e-380, and the product form read -2.9e-211
 @example(mu=0.0, sigma=1.0, t=1.0826920824133997e-195, points=[(412.46653662392333, 1.0, 3.0)])
 def test_gain_variance_is_never_nan_or_negative(mu, sigma, t, points):
@@ -502,6 +525,8 @@ def test_gain_variance_is_never_nan_or_negative(mu, sigma, t, points):
         grid = gain_variance(_points(*zip(*points)), gp, t)
         scalars = [gain_variance(ControlParams(1.0, *point), gp, t) for point in points]
     assert not np.isnan(grid).any() and not (grid < 0.0).any()
+    if sigma == 0.0 or t == 0.0:
+        assert not grid.any()
     # the scalar API gives the grid's bits
     np.testing.assert_array_equal(np.array(scalars).view(np.uint64), grid.view(np.uint64))
 

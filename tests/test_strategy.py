@@ -509,8 +509,8 @@ def test_the_first_failing_block_raises_as_in_a_serial_loop(monkeypatch, workers
         run_strategy(ControlParams(1.0, 2.0), prices)
 
 
-@pytest.mark.parametrize("block_prices, workers", [(60, 1), (1 << 20, 3)])
-def test_one_cpu_or_one_block_starts_no_thread(monkeypatch, block_prices, workers):
+@pytest.mark.parametrize("block_prices, workers", [(60, 1), (1 << 20, 3), (60, 3)])
+def test_run_strategy_starts_no_thread(monkeypatch, block_prices, workers):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a thread pool")
 
@@ -523,6 +523,20 @@ def test_one_cpu_or_one_block_starts_no_thread(monkeypatch, block_prices, worker
 
 def test_importing_gsls_loads_no_thread_pool():
     code = "import sys, gsls, gsls.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(gsls.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_run_strategy_on_many_blocks_and_cpus_loads_no_thread_pool():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from gsls import strategy\n"
+            "strategy._usable_cpus = lambda: 3\n"
+            "strategy._BLOCK_PRICES = 60\n"
+            "prices = np.linspace(1.0, 2.0, 9 * 30).reshape(9, 30)\n"
+            "trace = strategy.run_strategy(strategy.ControlParams(1.0, 2.0), prices)\n"
+            "trace.inv_long\n"
+            "sys.exit('concurrent.futures' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(gsls.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 

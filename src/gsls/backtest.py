@@ -24,6 +24,7 @@ from collections.abc import Iterator
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, fields
 from datetime import date
+from functools import partial
 from itertools import count
 from pathlib import Path
 
@@ -498,26 +499,10 @@ def backtest_universe(universe, split: SplitSpec, policy: TargetPolicy,
     With skip_errors, series that fail with a data problem are reported
     instead of fatal.  jobs is accepted for compatibility and has no effect.
     """
-
-    def estimate(series, train, test):
-        try:
-            gp = estimate_mle(train.prices, dt=dt)
-        except ValueError as exc:
-            raise DataError(f"{series.symbol}: estimation failed: {exc}") from exc
-        return gp, (len(test) - 1) * dt if horizon is None else horizon
-
-    def choose(symbols, estimates):
-        gps = [gp for gp, _ in estimates]
-        picks = _search(gps, [t for _, t in estimates], policy, grid, objective, i0)
-        return [DataError(f"{symbol}: optimization failed: {best}")
-                if isinstance(best, NoFiniteObjectiveError)
-                else (best.params, dict(target=best.target, mu_hat=gp.mu, sigma_hat=gp.sigma,
-                                        objective_value=best.objective_value))
-                for symbol, gp, best in zip(symbols, gps, picks)]
-
-    return _run_stages(universe, [("training", split.train_start, split.train_end),
-                                  ("testing", split.test_start, split.test_end)],
-                       estimate, choose, skip_errors, truncate)
+    search = partial(_search, policy=policy, grid=grid, objective=objective, i0=i0)
+    return next(_run_stages(universe, [search], (split.test_start, split.test_end),
+                            (split.train_start, split.train_end), dt, horizon,
+                            skip_errors, truncate))
 
 
 def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
@@ -528,68 +513,88 @@ def run_fixed_strategy_universe(universe, params: ControlParams, start: date,
     The windows of each length are traded in one executor run.
     jobs is accepted for compatibility and has no effect.
     """
-    return _run_stages(universe, [("testing", start, end)], lambda series, test: None,
-                       lambda symbols, _: [(params, {})] * len(symbols), skip_errors, truncate)
+    return next(_run_stages(universe, [params], (start, end),
+                            skip_errors=skip_errors, truncate=truncate))
 
 
-def _run_stages(universe, windows, prepare, choose, skip_errors: bool, truncate: bool):
-    """The aggregated SeriesResults, in input order, and {symbol: reason} per DataError.
+def _run_stages(universe, strategies, test, train=None, dt: float = DEFAULT_DT,
+                horizon: float | None = None, skip_errors: bool = False,
+                truncate: bool = False):
+    """Yield per strategy its aggregated SeriesResults and {symbol: reason} per DataError.
 
-    1. Per series, in input order: cut every (name, start, end) window,
-       check that each holds two observations, and keep the last window's
-       prices and prepare(series, *cuts).
-    2. choose(symbols, prepared) returns, for all those series at once,
-       (params, SeriesResult fields) or a DataError per series.
+    A strategy is a ControlParams, or _search bound to a policy, grid,
+    objective and i0, which needs the train window; windows are (start, end).
+    1. Once, per series in input order: cut the train window, if given, and
+       the test window, check that each holds two observations, and
+       estimate the dynamics on the train window.
+    2. Per strategy, for all those series at once: a search chooses the
+       parameters for horizon, by default the test window's length in units
+       of dt; a NoFiniteObjectiveError is a DataError.
     3. The test windows of each length are traded in one run_strategy call
        with per-row parameter columns, which gives each row the bits of a
        run on its window alone.  A row whose gains are not all finite, an
        overflow of the executor, is a DataError.
 
-    Without skip_errors the error of the first failing series in input
-    order is raised, as a loop over the series would, even when it fails at
-    a later stage than a series after it; no series after a failure runs
-    the later stages.
+    Without skip_errors a strategy raises the error of its first failing
+    series in input order, as a loop over the series would, even when it
+    fails at a later stage than a series after it; no series after a
+    failure runs the later stages, and no strategy after it runs.
     """
     universe = list(universe)
-    errors: dict[int, DataError] = {}
+    windows = {"training": train, "testing": test} if train else {"testing": test}
+    failed: dict[int, DataError] = {}
     live = []
     for i, series in enumerate(universe):
         try:
-            cuts = [series.window(start, end) for _, start, end in windows]
-            for (name, _, _), cut in zip(windows, cuts):
+            cuts = {name: series.window(*window) for name, window in windows.items()}
+            for name, cut in cuts.items():
                 if len(cut) < 2:
                     raise DataError(
                         f"{series.symbol}: {name} window has {len(cut)} observation(s), need >= 2")
-            live.append((i, cuts[-1].prices, prepare(series, *cuts)))
+            gp = None
+            if train:
+                try:
+                    gp = estimate_mle(cuts["training"].prices, dt=dt)
+                except ValueError as exc:
+                    raise DataError(f"{series.symbol}: estimation failed: {exc}") from exc
+            live.append((i, cuts["testing"].prices, gp))
         except DataError as exc:
-            errors[i] = exc
+            failed[i] = exc
             if not skip_errors:
                 break
-    picks = choose([universe[i].symbol for i, _, _ in live], [state for _, _, state in live])
-    by_length: dict[int, list] = {}
-    for (i, prices, _), pick in zip(live, picks):
-        if isinstance(pick, DataError):
-            errors[i] = pick
-        elif skip_errors or not errors or i < min(errors):
-            by_length.setdefault(len(prices), []).append((i, prices, pick))
-    results = {}
-    for group in by_length.values():
-        columns = np.array([(p.i0, p.k, p.alpha, p.beta) for _, _, (p, _) in group])
-        # an overflowing row is reported below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            gains = run_strategy(ControlParams(*columns.T[:, :, None]),
-                                 np.stack([prices for _, prices, _ in group])).gain
-        finite = np.isfinite(gains).all(axis=1)
-        for (i, _, (params, fields)), row, ok in zip(group, gains, finite):
-            symbol = universe[i].symbol
-            if ok:
-                results[i] = SeriesResult(symbol, params, row, **fields)
-            else:
-                errors[i] = DataError(f"{symbol}: trading failed: the gain overflows")
-    if errors and not skip_errors:
-        raise errors[min(errors)]
-    return (aggregate([results[i] for i in sorted(results)], truncate=truncate),
-            {universe[i].symbol: str(errors[i]) for i in sorted(errors)})
+    for strategy in strategies:
+        errors, by_length = dict(failed), {}
+        picks = [(strategy, {})] * len(live)
+        if not isinstance(strategy, ControlParams):
+            ts = [(len(p) - 1) * dt if horizon is None else horizon for _, p, _ in live]
+            picks = [DataError(f"{universe[i].symbol}: optimization failed: {best}")
+                     if isinstance(best, NoFiniteObjectiveError)
+                     else (best.params, dict(target=best.target, mu_hat=gp.mu, sigma_hat=gp.sigma,
+                                             objective_value=best.objective_value))
+                     for (i, _, gp), best in zip(live, strategy([gp for *_, gp in live], ts))]
+        for (i, prices, _), pick in zip(live, picks):
+            if isinstance(pick, DataError):
+                errors[i] = pick
+            elif skip_errors or not errors or i < min(errors):
+                by_length.setdefault(len(prices), []).append((i, prices, pick))
+        results = {}
+        for group in by_length.values():
+            columns = np.array([(p.i0, p.k, p.alpha, p.beta) for _, _, (p, _) in group])
+            # an overflowing row is reported below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                gains = run_strategy(ControlParams(*columns.T[:, :, None]),
+                                     np.stack([prices for _, prices, _ in group])).gain
+            finite = np.isfinite(gains).all(axis=1)
+            for (i, _, (params, fields)), row, ok in zip(group, gains, finite):
+                symbol = universe[i].symbol
+                if ok:
+                    results[i] = SeriesResult(symbol, params, row, **fields)
+                else:
+                    errors[i] = DataError(f"{symbol}: trading failed: the gain overflows")
+        if errors and not skip_errors:
+            raise errors[min(errors)]
+        yield (aggregate([results[i] for i in sorted(results)], truncate=truncate),
+               {universe[i].symbol: str(errors[i]) for i in sorted(errors)})
 
 
 def _series_row(r: SeriesResult) -> dict:

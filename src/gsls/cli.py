@@ -23,13 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, _cpus, _striped,
-                       backtest_universe, load_series, load_universe, report_to_dict,
-                       run_fixed_strategy_universe, write_csv, write_daily_columns,
-                       write_daily_csv, write_summary_csv)
+from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, _cpus, _run_stages,
+                       _striped, load_series, load_universe, report_to_dict, write_csv,
+                       write_daily_columns, write_daily_csv, write_summary_csv)
 from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate_paths
 from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
-                        Objective, _check_search_horizon, grid_search, policy_label)
+                        Objective, _check_search_horizon, _search, grid_search, policy_label)
 from .strategy import ControlParams, gain_total_closed
 
 __all__ = ["main"]
@@ -231,12 +230,6 @@ def _objective(s: dict) -> Objective:
     return Objective(s["objective"])
 
 
-def _strategy_label(params: ControlParams) -> str:
-    if params.alpha == 1.0 and params.beta == 1.0:
-        return f"sls_k{params.k:g}"
-    return f"gsls_k{params.k:g}_a{params.alpha:g}_b{params.beta:g}"
-
-
 def _estimate_from_file(in_path: str, window: str | None, dt: float):
     span = _parse_window(window, "--train-window") if window else None
     series = load_series(in_path)
@@ -342,7 +335,7 @@ SWEEP_ONLY = {"fixed_alpha", "fixed_beta"}
 
 
 def _cmd_backtest(s: dict) -> None:
-    sweep, runners = s["fixed_k"] is not None, {}
+    sweep, strategies = s["fixed_k"] is not None, {}
     # a sweep trades the test window alone; a training window given to it is still checked
     _need(s, "in", "out", *([] if sweep else ["train_window"]), "test_window")
     _check(s)
@@ -357,28 +350,28 @@ def _cmd_backtest(s: dict) -> None:
         raise UsageError(f"--in: not a directory: {s['in']}")
     if not any(Path(s["in"]).glob("*.csv")):
         raise UsageError(f"--in: no CSV files in {s['in']}")
-    # label -> runner(universe, skip_errors=, truncate=), settled before any data is read;
-    # a --fixed-k sweep has one fixed-parameter runner per k and never optimizes
+    # label -> strategy, settled before any data is read; a --fixed-k sweep has one
+    # ControlParams per k and never optimizes
     if sweep:
+        alpha, beta = s["fixed_alpha"], s["fixed_beta"]
         for k in _parse_floats(s["fixed_k"], "--fixed-k"):
-            params = ControlParams(s["i0"], k, s["fixed_alpha"], s["fixed_beta"])
-            label = _strategy_label(params)
-            if label in runners:
+            params = ControlParams(s["i0"], k, alpha, beta)
+            label = f"sls_k{k:g}" if alpha == beta == 1.0 else f"gsls_k{k:g}_a{alpha:g}_b{beta:g}"
+            if label in strategies:
                 raise UsageError(f"duplicate strategy {label} in --fixed-k")
-            runners[label] = partial(run_fixed_strategy_universe, params=params,
-                                     start=test[0], end=test[1])
+            strategies[label] = params
     else:
-        split, grid = SplitSpec(*train, *test), _grid(s)
-        objective, policy = _objective(s), _policy(s)
-        runners[f"{objective.value}_{policy_label(policy)}"] = partial(
-            backtest_universe, split=split, policy=policy, grid=grid, objective=objective,
-            i0=s["i0"], dt=s["dt"], horizon=s["horizon"])
+        SplitSpec(*train, *test)  # checks that the training window comes first
+        grid, objective, policy = _grid(s), _objective(s), _policy(s)
+        strategies[f"{objective.value}_{policy_label(policy)}"] = partial(
+            _search, policy=policy, grid=grid, objective=objective, i0=s["i0"])
     universe, load_failures = load_universe(s["in"], skip_errors=s["skip_errors"])
     out_dir = Path(s["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     runs, summary_rows = {}, []
-    for label, runner in runners.items():
-        report, failures = runner(universe, skip_errors=s["skip_errors"], truncate=s["truncate"])
+    reports = _run_stages(universe, strategies.values(), test, None if sweep else train,
+                          s["dt"], s["horizon"], s["skip_errors"], s["truncate"])
+    for label, (report, failures) in zip(strategies, reports):
         # lazy rows: each series' gains become floats only while report.json is written
         runs[label] = {"failures": failures, "report": report_to_dict(report, rows=iter)}
         summary_rows.append((label, report.summary))

@@ -118,6 +118,8 @@ class GridSpec:
             if not all(math.isfinite(v) and v > 0.0 for v in values):
                 raise ValueError(f"{name} must contain positive finite values")
             object.__setattr__(self, name, values)
+        # every point is a controller, so beta*k must be positive and finite too
+        ControlParams(1.0, *np.ix_(self.k_values, self.alpha_values, self.beta_values))
 
     @classmethod
     def equally_spaced(cls, lo: float = 0.5, hi: float = 5.0, n: int = 10,

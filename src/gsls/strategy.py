@@ -49,10 +49,10 @@ __all__ = [
 class ControlParams:
     """Controller parameters: initial investment i0 and gains k, alpha, beta.
 
-    All four must be strictly positive and finite.  Each is a number or an
-    array, and arrays broadcast: one ControlParams holds a point, a grid as
-    np.ix_ axes, or one column per path.  The long book trades with
-    feedback gain k_long = k, the short book with k_short = beta*k.
+    All four must be strictly positive and finite, and so must beta*k.  Each
+    is a number or an array, and arrays broadcast: one ControlParams holds a
+    point, a grid as np.ix_ axes, or one column per path.  The long book
+    trades with feedback gain k_long = k, the short book with k_short = beta*k.
     """
 
     i0: float | np.ndarray
@@ -61,8 +61,12 @@ class ControlParams:
     beta: float | np.ndarray = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("i0", "k", "alpha", "beta"):
-            value = getattr(self, name)
+        for name in ("i0", "k", "alpha", "beta", "beta*k"):
+            if name == "beta*k":  # each factor may be valid and the product over- or underflow
+                with np.errstate(over="ignore"):
+                    value = self.k_short
+            else:
+                value = getattr(self, name)
             if isinstance(value, np.ndarray):  # NaN fails both comparisons
                 ok = np.all((value > 0.0) & (value < math.inf))
             else:  # math: about 100x faster than numpy on the number a backtest builds per series

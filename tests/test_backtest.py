@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gsls import backtest as backtest_module
+from gsls import optimizer as optimizer_module
 from gsls import strategy as strategy_module
 from gsls import (
     ControlParams,
@@ -887,3 +889,50 @@ def test_universe_gains_equal_a_run_on_each_window_alone(monkeypatch, prices):
                            Objective.BIAS_SQUARED)
         assert (one.params, one.target, one.mu_hat, one.sigma_hat, one.objective_value) == (
             r.params, r.target, r.mu_hat, r.sigma_hat, r.objective_value)
+
+
+def test_one_runner_call_gives_each_strategy_the_bits_of_its_own_call():
+    # training windows that all estimate; the second series' test window is shorter
+    universe = _gbm_universe(6, [0.3, -0.2, 0.1, 0.0, 0.5, -0.4], 0.25, 365, seed_tag=60)
+    universe[1] = PriceSeries("s001", universe[1].dates[:300], universe[1].prices[:300])
+    fixed = ControlParams(1.3, 2.0, 0.7, 1.5)
+    grid, policy = GridSpec.equally_spaced(0.5, 4.0, 5), DriftAdaptiveTarget(0.05)
+    search = functools.partial(optimizer_module._search, policy=policy, grid=grid,
+                               objective=Objective.MSE, i0=2.0)
+    test, train = (SPLIT.test_start, SPLIT.test_end), (SPLIT.train_start, SPLIT.train_end)
+    runs = list(backtest_module._run_stages(universe, [fixed, search, fixed], test, train,
+                                            truncate=True))
+    alone = run_fixed_strategy_universe(universe, fixed, *test, truncate=True)
+    optimized = backtest_universe(universe, SPLIT, policy, grid, Objective.MSE, i0=2.0,
+                                  truncate=True)
+    assert len(runs) == 3
+    for (report, failures), (want, want_failures) in zip(runs, [alone, optimized, alone]):
+        assert failures == want_failures == {}
+        assert len(report.results) == len(want.results) == 6
+        for r, w in zip(report.results, want.results):
+            assert (r.symbol, r.params, r.target, r.mu_hat, r.sigma_hat, r.objective_value) == (
+                w.symbol, w.params, w.target, w.mu_hat, w.sigma_hat, w.objective_value)
+            np.testing.assert_array_equal(r.gains.view(np.uint64), w.gains.view(np.uint64))
+        for name in ("day_mean", "day_q025", "day_q50", "day_q975"):
+            np.testing.assert_array_equal(getattr(report, name).view(np.uint64),
+                                          getattr(want, name).view(np.uint64))
+        assert report.summary == want.summary
+    assert runs[1][0].results[0].target is not None and runs[0][0].results[0].target is None
+
+
+def test_one_runner_call_shares_its_stage_1_failures_with_every_strategy():
+    # a series with one training observation fails stage 1 once, for every strategy
+    universe = [*_gbm_universe(2, 0.1, 0.2, 365, seed_tag=61),
+                _series("late", "2016-06-30", np.linspace(90.0, 95.0, 100))]
+    search = functools.partial(optimizer_module._search, policy=FixedTarget(0.15),
+                               grid=GridSpec.default(), objective=Objective.MSE)
+    test, train = (SPLIT.test_start, SPLIT.test_end), (SPLIT.train_start, SPLIT.train_end)
+    message = "late: training window has 1 observation(s), need >= 2"
+    runs = backtest_module._run_stages(universe, [ControlParams(1.0, 2.0), search], test, train,
+                                       skip_errors=True)
+    for report, failures in runs:
+        assert failures == {"late": message}
+        assert [r.symbol for r in report.results] == ["s000", "s001"]
+    with pytest.raises(DataError) as err:
+        next(backtest_module._run_stages(universe, [search], test, train))
+    assert str(err.value) == message

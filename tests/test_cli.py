@@ -15,6 +15,7 @@ from gsls import (
     GbmParams,
     GridSpec,
     Objective,
+    PriceSeries,
     estimate_mle,
     expected_gain,
     gain_total_closed,
@@ -23,6 +24,7 @@ from gsls import (
     trading_bias,
     trading_mse,
 )
+from gsls import cli
 from gsls.cli import main
 
 
@@ -1037,3 +1039,82 @@ def test_simulate_rejects_prices_that_overflow_or_underflow(tmp_path, capsys, mu
         f"error: simulated prices must be positive and finite, got {bad} "
         f"at mu {float(mu)!r}, sigma {float(sigma)!r}\n")
     assert not out.exists()
+
+
+TINY_GRID = ["--grid-min", "1e-170", "--grid-max", "1e-160", "--grid-n", "2"]
+
+
+@pytest.mark.parametrize("command", [
+    ["optimize", "--mu", "0.1", "--sigma", "0.2"],
+    ["optimize", "--in", "UNIVERSE/series_0000.csv"],
+    ["backtest", "--in", "UNIVERSE", *BACKTEST_WINDOWS],
+])
+def test_a_grid_whose_beta_times_k_underflows_exits_2_before_any_input(tmp_path, monkeypatch,
+                                                                      capsys, command):
+    # k and beta of 1e-170 are valid alone, but their product underflows to 0; such a
+    # grid once ran with numpy warnings and exited 0
+    universe = _simulate(tmp_path, count=2, steps=60)
+    command = [arg.replace("UNIVERSE", str(universe)) for arg in command]
+
+    def no_input(*args, **kwargs):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cli, "load_series", no_input)
+    monkeypatch.setattr(cli, "load_universe", no_input)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--objective", "mse", "--target-fixed", "0.15", *TINY_GRID,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta*k must be positive and finite, got array(")
+    assert not out.exists()
+
+
+def test_a_fixed_k_sweep_whose_beta_times_k_overflows_exits_2_before_any_input(tmp_path,
+                                                                               capsys):
+    universe = _simulate(tmp_path, count=2, steps=60)
+    out = tmp_path / "out"
+    assert main(["backtest", "--in", str(universe), "--out", str(out), *BACKTEST_WINDOWS,
+                 "--fixed-k", "1,1e200", "--fixed-beta", "1e200"]) == 2
+    assert capsys.readouterr().err == "error: beta*k must be positive and finite, got inf\n"
+    assert not out.exists()
+
+
+def test_a_fixed_k_sweep_cuts_each_test_window_once(tmp_path, monkeypatch):
+    # every strategy trades the windows of one cut; a loop over the strategies cut
+    # every window once per strategy
+    universe = _simulate(tmp_path, count=4, steps=60)
+    cut, window = [], PriceSeries.window
+
+    def counted(series, start, end):
+        cut.append((series.symbol, start, end))
+        return window(series, start, end)
+
+    monkeypatch.setattr(PriceSeries, "window", counted)
+    assert main(["backtest", "--in", str(universe), "--out", str(tmp_path / "sweep"),
+                 *BACKTEST_WINDOWS, "--fixed-k", "0.5,1,2"]) == 0
+    test = (date(2016, 2, 2), date(2016, 3, 1))
+    assert cut == [(f"series_{i:04d}", *test) for i in range(4)]
+
+
+def test_a_sweep_whose_strategies_fail_raises_the_first_failing_strategys_error(tmp_path,
+                                                                               capsys):
+    # prices alternating 1 and A over the test window: the gain overflows at k 2 for
+    # A = 3e21 and at k 1 and 2 for A = 1e22, never at k 0.5
+    universe = _simulate(tmp_path, count=2, steps=60)
+    days = [date(2016, 1, 1) + timedelta(days=i) for i in range(61)]
+    for name, big in [("a_k2", 3e21), ("b_k1", 1e22)]:
+        rows = (f"{day},{big if i % 2 else 1.0!r}" for i, day in enumerate(days))
+        (universe / f"{name}.csv").write_text("date,close\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "sweep"
+    argv = ["backtest", "--in", str(universe), *BACKTEST_WINDOWS, "--fixed-k", "0.5,1,2"]
+    assert main([*argv, "--out", str(out)]) == 3
+    # k 1 is the first strategy to fail, at b_k1, although a_k2 comes first and fails at
+    # k 2; the strategies before it have written their daily files
+    assert capsys.readouterr().err == "data error: b_k1: trading failed: the gain overflows\n"
+    assert sorted(p.name for p in out.iterdir()) == ["daily_aggregate_sls_k0.5.csv"]
+    assert main([*argv, "--out", str(tmp_path / "skip"), "--skip-errors"]) == 0
+    runs = json.loads((tmp_path / "skip" / "report.json").read_text())["strategies"]
+    assert {label: sorted(run["failures"]) for label, run in runs.items()} == {
+        "sls_k0.5": [], "sls_k1": ["b_k1"], "sls_k2": ["a_k2", "b_k1"]}

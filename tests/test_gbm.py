@@ -193,6 +193,15 @@ def test_estimate_mle_sampling_distribution():
     assert hits_sigma >= 42
 
 
+def test_the_gain_moments_never_see_a_beta_times_k_outside_the_floats():
+    # expected_gain once divided by a beta*k that underflowed to 0, and gain_variance
+    # read NaN there; ControlParams now rejects such a point before either runs
+    with pytest.raises(ValueError, match=r"^beta\*k must be positive and finite"):
+        expected_gain(ControlParams(1.0, 1e-300, 1.0, 1e-300), GbmParams(-0.1, 0.1), 1.0)
+    with pytest.raises(ValueError, match=r"^beta\*k must be positive and finite"):
+        gain_variance(ControlParams(1.0, 1e200, 1.0, 1e200), GbmParams(-0.1, 0.1), 1.0)
+
+
 def test_expected_gain_trivial_cases():
     cp = ControlParams(1.0, 1.0)
     assert expected_gain(cp, GbmParams(0.1, 0.2), 0.0) == 0.0

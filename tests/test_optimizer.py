@@ -102,6 +102,16 @@ def test_grid_spec_sorts_dedupes_and_validates():
         GridSpec((1.0,), (-2.0,), (1.0,))
 
 
+def test_grid_spec_rejects_a_point_whose_beta_times_k_leaves_the_floats():
+    # the 1e-170..1e-160 grid holds valid k and beta values, but some products underflow
+    with pytest.raises(ValueError, match=r"^beta\*k must be positive and finite"):
+        GridSpec.equally_spaced(1e-170, 1e-160, 2)
+    with pytest.raises(ValueError, match=r"^beta\*k must be positive and finite"):
+        GridSpec((1.0, 1e200), (1.0,), (1e200,))
+    # an SLS grid has beta = 1, so beta*k is k
+    assert GridSpec.equally_spaced(1e-170, 1e-160, 2, sls_only=True).size == 2
+
+
 def test_grid_spec_equally_spaced_default():
     g = GridSpec.default()
     assert g.k_values == tuple(0.5 * i for i in range(1, 11))

@@ -63,6 +63,23 @@ def test_control_params_rejects_one_bad_entry_of_an_array_field(field, bad):
         ControlParams(**values)
 
 
+@pytest.mark.parametrize("k, beta, product", [(1e-300, 1e-300, 0.0), (1e200, 1e200, math.inf)])
+def test_control_params_rejects_a_beta_times_k_outside_the_floats(k, beta, product):
+    # each factor is valid, but the short book's feedback gain beta*k under- or overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^beta\*k must be positive and finite, "
+                                             rf"got {product!r}$"):
+            ControlParams(1.0, k, 1.0, beta)
+        with pytest.raises(ValueError, match=r"^beta\*k must be positive and finite, got array"):
+            ControlParams(1.0, np.array([2.0, k]), 1.0, beta)
+        with pytest.raises(ValueError, match=r"^beta\*k must be positive and finite"):
+            ControlParams(1.0, np.float64(k), 1.0, np.float64(beta))
+    # the smallest and largest products that are still floats are accepted
+    assert ControlParams(1.0, 1e-300, 1.0, 1e-8).k_short > 0.0
+    assert ControlParams(1.0, 1e200, 1.0, 1e108).k_short < math.inf
+
+
 def test_control_params_accepts_row_columns_and_grid_axes():
     columns = ControlParams(*np.random.default_rng(5).uniform(0.3, 3.0, (4, 7, 1)))
     assert columns.k_short.shape == (7, 1)

@@ -15,7 +15,17 @@ the per-layer metrics.
 
 For every end-to-end metric the output holds each side's median and
 quartiles (``statistics.quantiles``, inclusive method), every run, and how
-many pairs the change won, ties counting for neither side.
+many pairs the change won, ties counting for neither side.  From those and
+the metric's relative ``bound`` in ``BENCHMARK.json`` it gives a ``verdict``:
+
+    worse         the change's median is worse than the parent's by more
+                  than the bound
+    unresolved    otherwise, the parent's IQR over its median exceeds the
+                  bound, unless every change run beats every parent run
+    within_bound  otherwise
+
+and ``claim_met``: the change won at least 9 of the 10 pairs, and its
+median beats the parent's by more than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ import numpy
 WORKLOADS = ("backtest-mse-uniform", "sweep-fixedk-long", "montecarlo-gbm")
 TRACED = ("backtest.load_s", "backtest.report_dict_s", "cli.self_s", "cli.report_mb")
 PAIRS = 10
+CLAIM_WINS = 9
 TRACE_SECONDS = 10.0
 
 
@@ -70,9 +81,21 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def verdict(p: dict, c: dict, sign: float, bound: float) -> str:
+    """worse, unresolved or within_bound for parent and change spreads p and c."""
+    if sign * (c["median"] - p["median"]) > bound * abs(p["median"]):
+        return "worse"
+    if (p["q3"] - p["q1"] > bound * abs(p["median"])
+            and not max(sign * v for v in c["runs"]) < min(sign * v for v in p["runs"])):
+        return "unresolved"
+    return "within_bound"
+
+
+def summarize(runs: dict[str, list[dict]], declared: list[dict]) -> dict:
+    """Per end-to-end metric of BENCHMARK.json: both sides' spreads and the verdicts."""
     out = {}
-    for name, direction in better.items():
+    for metric in declared:
+        name, direction = metric["name"], metric["better"]
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         sign = 1.0 if direction == "lower" else -1.0
@@ -83,6 +106,10 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
             "parent": p, "change": c, "pairs": len(parent), "change_wins": wins,
             "median_change_pct": 100.0 * (c["median"] / p["median"] - 1.0),
             "parent_iqr": p["q3"] - p["q1"],
+            "bound": metric["bound"],
+            "verdict": verdict(p, c, sign, metric["bound"]),
+            "claim_met": (wins >= CLAIM_WINS
+                          and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]),
         }
     return out
 
@@ -103,7 +130,6 @@ def main() -> int:
     for side, tree in trees.items():
         extract(tree, roots[side])
     declared = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     seconds = float(declared["run_seconds"])
 
     workloads = {}
@@ -119,7 +145,7 @@ def main() -> int:
         traced = {side: perfbench(roots[side], workload, args.seed, TRACE_SECONDS, 1)["metrics"]
                   for side in ("parent", "change")}
         workloads[workload] = {
-            "end_to_end": summarize(runs, better),
+            "end_to_end": summarize(runs, declared["end_to_end"]),
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
             "traced": {side: {name: traced[side][name]["value"] for name in TRACED}

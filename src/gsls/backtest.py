@@ -39,7 +39,8 @@ from .optimizer import (
     _search,
     grid_search,  # noqa: F401  perfbench/child.py wraps backtest.grid_search by name
 )
-from .strategy import ControlParams, _usable_cpus, run_strategy
+from .strategy import ControlParams, _run, _usable_cpus
+from .strategy import run_strategy  # noqa: F401  perfbench/child.py wraps it by name
 
 __all__ = [
     "BacktestReport",
@@ -530,10 +531,10 @@ def _run_stages(universe, strategies, test, train=None, dt: float = DEFAULT_DT,
     2. Per strategy, for all those series at once: a search chooses the
        parameters for horizon, by default the test window's length in units
        of dt; a NoFiniteObjectiveError is a DataError.
-    3. The test windows of each length are traded in one run_strategy call
+    3. The test windows of each length are traded in one executor pass
        with per-row parameter columns, which gives each row the bits of a
-       run on its window alone.  A row whose gains are not all finite, an
-       overflow of the executor, is a DataError.
+       run_strategy call on its window alone.  A row whose gains are not all
+       finite, an overflow of the executor, is a DataError.
 
     Without skip_errors a strategy raises the error of its first failing
     series in input order, as a loop over the series would, even when it
@@ -582,8 +583,8 @@ def _run_stages(universe, strategies, test, train=None, dt: float = DEFAULT_DT,
             columns = np.array([(p.i0, p.k, p.alpha, p.beta) for _, _, (p, _) in group])
             # an overflowing row is reported below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                gains = run_strategy(ControlParams(*columns.T[:, :, None]),
-                                     np.stack([prices for _, prices, _ in group])).gain
+                gains = _run(ControlParams(*columns.T[:, :, None]),
+                             np.stack([prices for _, prices, _ in group]))
             finite = np.isfinite(gains).all(axis=1)
             for (i, _, (params, fields)), row, ok in zip(group, gains, finite):
                 symbol = universe[i].symbol

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategy import _BLOCK_PRICES, ControlParams, _usable_cpus, gain_total_closed
+from .strategy import _BLOCK_PRICES, ControlParams, _shown, _usable_cpus, gain_total_closed
 
 __all__ = [
     "GbmParams",
@@ -63,10 +63,11 @@ class GbmParams:
         mu, sigma = self.mu, self.sigma
         # math for a number, as ControlParams checks it; one numpy check for an array
         if not (np.all(np.isfinite(mu)) if isinstance(mu, np.ndarray) else math.isfinite(mu)):
-            raise ValueError(f"mu must be finite, got {mu!r}")
+            raise ValueError(f"mu must be finite, got {_shown(mu, np.isfinite(mu))}")
         if not (np.all(np.isfinite(sigma) & (sigma >= 0.0)) if isinstance(sigma, np.ndarray)
                 else math.isfinite(sigma) and sigma >= 0.0):
-            raise ValueError(f"sigma must be non-negative and finite, got {sigma!r}")
+            raise ValueError(f"sigma must be non-negative and finite, "
+                             f"got {_shown(sigma, np.isfinite(sigma) & (sigma >= 0.0))}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 

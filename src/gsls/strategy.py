@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def _shown(value, ok) -> str:
+    """A number's repr; for an array, its shape and first entry in C order where ok is False."""
+    if not isinstance(value, np.ndarray):
+        return repr(value)
+    at = tuple(int(i) for i in np.unravel_index(np.argmin(ok), value.shape))
+    return f"array(shape={value.shape}), first failing entry {float(value[at])!r} at index {at}"
+
+
 @dataclass(frozen=True)
 class ControlParams:
     """Controller parameters: initial investment i0 and gains k, alpha, beta.
@@ -68,11 +76,12 @@ class ControlParams:
             else:
                 value = getattr(self, name)
             if isinstance(value, np.ndarray):  # NaN fails both comparisons
-                ok = np.all((value > 0.0) & (value < math.inf))
+                mask = (value > 0.0) & (value < math.inf)
+                ok = mask.all()
             else:  # math: about 100x faster than numpy on the number a backtest builds per series
-                ok = math.isfinite(value) and value > 0.0
+                mask = ok = math.isfinite(value) and value > 0.0
             if not ok:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ValueError(f"{name} must be positive and finite, got {_shown(value, mask)}")
 
     @property
     def k_long(self):
@@ -231,7 +240,7 @@ def _usable_cpus() -> int:
 
 
 def _gain_long(inv_long: np.ndarray, i0, k, out=None) -> np.ndarray:
-    """Long-book gain (I_L - i0)/k, in out or a new array; i0 and k are scalars or columns."""
+    """Long-book gain (I_L - i0)/k, in out or a new array; i0 and k are scalars or broadcast."""
     gain = np.subtract(inv_long, i0, out=out)
     return np.divide(gain, k, out=gain)
 
@@ -340,16 +349,17 @@ def run_strategy(params: ControlParams, prices) -> StrategyTrace:
     treated as independent paths.  Each field of params is a number or holds
     one value per path, as an array that broadcasts to prices.shape[:-1] + (1,).
 
-    A run computes only the final gains, on the calling thread, in two
-    scratch buffers that together hold one block of about _BLOCK_PRICES
-    prices.  It works through the paths in half blocks that stay in cache:
-    per half block it checks the prices, copies them into one buffer and
-    their returns into the other, forms each book's factors in a buffer and
-    reduces them to one product per path, from which the final gains
-    follow.  Every value comes from the same operations in the same order
-    whatever the blocks, so the bits do not depend on the block size.  The
-    trace's gain and investments come from the same block loop, run again
-    on first access with cumulative products in place of the products.
+    A run computes only the final gains, on the calling thread, in one
+    scratch block of about _BLOCK_PRICES prices that stays in cache.  It
+    works through the paths in groups that fill half of it: per group it
+    checks the prices, copies them time-major, with one column per path,
+    into one half and their returns into the other, forms each book's
+    factors in a half and reduces them to one product per path, from which
+    the final gains follow.  Every value comes from the same operations in
+    the same order whatever the blocks, so the bits do not depend on the
+    block size.  The trace's gain and investments come from the same block
+    loop, run again on first access with cumulative products in place of
+    the products.
     """
     p = np.asarray(prices, dtype=float)
     if p.ndim == 0 or p.shape[-1] < 1:
@@ -362,68 +372,55 @@ def run_strategy(params: ControlParams, prices) -> StrategyTrace:
 def _run(params: ControlParams, p: np.ndarray, books=None, final: bool = False) -> np.ndarray:
     """run_strategy's block loop over the float prices p.
 
-    final returns the final gains alone, of shape p.shape[:-1].  Its blocks
-    are then half as long, each is copied with time along the first axis
-    into a second scratch buffer, and each book's factors are reduced along
-    that axis by np.multiply.  It folds a float multiply from the left, the
-    order np.cumprod multiplies in, so each product has the bits of a
-    cumulative product's last column; along that axis the fold multiplies
-    one price of every path at a time, in vector registers, instead of one
-    path's prices one after another.  Otherwise it returns the gain, and
-    books is None, when each block's two investments live in its gain rows
-    and the scratch buffer, or two arrays of p's shape that receive
-    inv_long and inv_short.
+    Each block of paths is copied with time along the first axis into one
+    half of a scratch block, and each book's factors are folded along that
+    axis by np.multiply, one price of every path at a time, in vector
+    registers.  The fold multiplies from the left, the order np.cumprod
+    multiplies in.  final reduces the factors to one product per path and
+    returns the final gains alone, of shape p.shape[:-1], with the bits of a
+    cumulative product's last column.  Otherwise the fold accumulates in
+    place and the gain is returned; books is None, or two arrays of p's
+    shape that receive inv_long and inv_short.
     """
     n = p.shape[-1]
     rows = p.reshape(-1, n)
-    n_rows = len(rows)
     # one value per row, or a scalar for all of them
     per_row = [v if np.ndim(v) == 0 else np.broadcast_to(v, p.shape[:-1] + (1,)).reshape(-1, 1)
                for v in (params.i0, params.k, params.k_short, params.alpha * params.i0)]
     gain = np.empty(p.shape[:-1] if final else p.shape)
-    outs = [a.reshape(n_rows, -1) for a in (gain, *(books or ()))]
-    buffers, fold = ((2, lambda a: np.multiply.reduce(a, axis=0, keepdims=True)) if final
-                     else (1, lambda a: np.cumprod(a, axis=-1, out=a)))
+    outs = [a.reshape(len(rows), -1) for a in (gain, *(books or ()))]
+    fold = ((lambda a: np.multiply.reduce(a, axis=0, keepdims=True)) if final
+            else (lambda a: np.multiply.accumulate(a, axis=0, out=a)))
 
-    step = max(1, _BLOCK_PRICES // (buffers * n))
-    scratch = np.empty((buffers, min(step, n_rows) * n))
-    for lo in range(0, n_rows, step):
-        hi = lo + step
-        block = rows[lo:hi]
+    step = max(1, _BLOCK_PRICES // (2 * n))
+    scratch = np.empty((2, min(step, len(rows)) * n))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
         # a NaN makes the minimum NaN, so both comparisons fail on it
         if not (block.min() > 0.0 and block.max() < math.inf):
             raise ValueError("prices must be finite and strictly positive")
-        i0, k, k_short, alpha_i0 = (v if np.ndim(v) == 0 else v[lo:hi] for v in per_row)
-        g, *book_rows = (a[lo:hi] for a in outs)
-        if final:  # time along the first axis; the long book's factors overwrite the prices
-            long_ = scratch[1, :block.size].reshape(n, -1)
-            np.copyto(long_, block.T)
-            i0, k, k_short, alpha_i0, g = (v if np.ndim(v) == 0 else v.T
-                                           for v in (i0, k, k_short, alpha_i0, g))
-            block, lag, first = long_, long_.shape[1], 0
-            r = short = scratch[0, :block.size].reshape(block.shape)
-        else:
-            lag, first = 1, (slice(None), 0)
-            r = scratch[0, :block.size].reshape(block.shape)
-            long_, short = book_rows or (g, r)
+        # one column per path: parameters as rows, and results leave by a transposed copy
+        i0, k, k_short, alpha_i0 = (v if np.ndim(v) == 0 else v[lo:lo + step].T for v in per_row)
+        g, *book_rows = (a[lo:lo + step] for a in outs)
+        # the long book's factors overwrite the prices, the short book's the returns
+        long_, r = (half[:block.size].reshape(n, -1) for half in scratch)
+        np.copyto(long_, block.T)
         # r holds the return into each price, and a first return of 0 gives each
-        # book the unit factor 1 + 0 there, so every pass below covers whole
-        # paths and, for scalar parameters, runs as one flat loop over the block
-        flat, r_flat = block.ravel(), r.ravel()
-        np.subtract(flat[lag:], flat[:-lag], out=r_flat[lag:])
-        r[first] = 0.0
-        r_flat[lag:] /= flat[:-lag]
+        # book the unit factor 1 + 0 there, so every pass below covers whole paths
+        np.subtract(long_[1:], long_[:-1], out=r[1:])
+        r[0] = 0.0
+        r[1:] /= long_[:-1]
 
         np.multiply(r, k, out=long_)
         long_ += 1.0
-        long_ = fold(long_)
-        long_ *= i0
-
         r *= k_short
-        np.subtract(1.0, r, out=short)
-        short = fold(short)
+        long_, short = fold(long_), fold(np.subtract(1.0, r, out=r))
+        long_ *= i0
         short *= -alpha_i0
 
-        _gain_long(long_, i0, k, out=g)
-        g += _gain_short(short, alpha_i0, k_short, out=short if final else r)
+        for book, inv in zip(book_rows, (long_, short)):
+            np.copyto(book, inv.T)
+        _gain_long(long_, i0, k, out=long_)
+        long_ += _gain_short(short, alpha_i0, k_short, out=short)
+        np.copyto(g, long_.T)
     return gain

@@ -936,3 +936,28 @@ def test_one_runner_call_shares_its_stage_1_failures_with_every_strategy():
     with pytest.raises(DataError) as err:
         next(backtest_module._run_stages(universe, [search], test, train))
     assert str(err.value) == message
+
+
+def test_the_runner_makes_one_executor_pass_per_window_length_and_strategy(monkeypatch):
+    # test windows of 3 lengths; a final-gain pass and then a re-run for the gain
+    # once made two passes per group
+    universe = [PriceSeries(s.symbol, s.dates[:366 - (i % 3) * 9], s.prices[:366 - (i % 3) * 9])
+                for i, s in enumerate(_gbm_universe(6, 0.1, 0.2, 365, seed_tag=62))]
+    search = functools.partial(optimizer_module._search, policy=FixedTarget(0.15),
+                               grid=GridSpec.default(), objective=Objective.MSE)
+    test, train = (SPLIT.test_start, SPLIT.test_end), (SPLIT.train_start, SPLIT.train_end)
+    passes = []
+    run = strategy_module._run
+
+    def counted(params, p, *args, **kwargs):
+        passes.append(p.shape)
+        return run(params, p, *args, **kwargs)
+
+    monkeypatch.setattr(strategy_module, "_run", counted)
+    monkeypatch.setattr(backtest_module, "_run", counted, raising=False)
+    runs = backtest_module._run_stages(universe, [ControlParams(1.3, 2.0, 0.7, 1.5), search],
+                                       test, train, truncate=True)
+    for report, failures in runs:
+        assert failures == {} and len(report.results) == 6
+        assert sorted(passes) == [(2, 166), (2, 175), (2, 184)]
+        passes.clear()

@@ -1071,6 +1071,15 @@ def test_a_grid_whose_beta_times_k_underflows_exits_2_before_any_input(tmp_path,
     assert not out.exists()
 
 
+def test_a_bad_grid_point_is_named_on_one_line(capsys):
+    # the error once held the whole (2, 1, 2) array of products over three lines
+    assert main(["optimize", "--mu", "0.1", "--sigma", "0.2", "--objective", "mse",
+                 "--target-fixed", "0.15", *TINY_GRID]) == 2
+    assert capsys.readouterr().err == (
+        "error: beta*k must be positive and finite, got array(shape=(2, 1, 2)), "
+        "first failing entry 0.0 at index (0, 0, 0)\n")
+
+
 def test_a_fixed_k_sweep_whose_beta_times_k_overflows_exits_2_before_any_input(tmp_path,
                                                                                capsys):
     universe = _simulate(tmp_path, count=2, steps=60)

@@ -357,8 +357,10 @@ def _cmd_backtest(s: dict) -> None:
         for k in _parse_floats(s["fixed_k"], "--fixed-k"):
             params = ControlParams(s["i0"], k, alpha, beta)
             label = f"sls_k{k:g}" if alpha == beta == 1.0 else f"gsls_k{k:g}_a{alpha:g}_b{beta:g}"
-            if label in strategies:
-                raise UsageError(f"duplicate strategy {label} in --fixed-k")
+            if label in strategies:  # labels show k to 6 digits, so two values may share one
+                other = strategies[label].k
+                raise UsageError(f"duplicate strategy {label} in --fixed-k" if other == k else
+                                 f"--fixed-k {other!r} and {k!r} share the strategy label {label}")
             strategies[label] = params
     else:
         SplitSpec(*train, *test)  # checks that the training window comes first
@@ -443,6 +445,9 @@ def _plot_density(s: dict) -> None:
         finals = None
     if finals is None or not np.all(np.isfinite(finals)):
         raise DataError(f"{s['in']}: every series row needs a finite numeric final_gain")
+    lo, hi = min(finals), max(finals)
+    if hi - lo == np.inf:  # numpy's bin edges would overflow
+        raise DataError(f"{s['in']}: final gains from {lo!r} to {hi!r} span past the floats")
     counts, edges = np.histogram(finals, bins=s["bins"])
     density = counts / (counts.sum() * np.diff(edges))
     out_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist())
@@ -474,16 +479,24 @@ GAIN_VS_Q = [
 def _plot_gain_vs_q(s: dict) -> None:
     _need(s, "k")
     q_min, q_max = s["q_min"], s["q_max"]
-    if not (0.0 < q_min <= q_max):
+    if not (0.0 < q_min <= q_max < np.inf):
         raise UsageError(f"need 0 < --q-min <= --q-max, got {q_min}, {q_max}")
     if s["q_n"] < 1:
         raise UsageError("--q-n must be >= 1")
-    qs = np.linspace(q_min, q_max, s["q_n"])
-    out_rows = []
-    for k in _parse_floats(s["k"], "--k"):
-        gains = gain_total_closed(ControlParams(s["i0"], k, s["alpha"], s["beta"]), qs)
-        out_rows.extend((k, q, g) for q, g in zip(qs.tolist(), gains.tolist()))
+    qs, ks = np.linspace(q_min, q_max, s["q_n"]), _parse_floats(s["k"], "--k")
+    with np.errstate(over="ignore", invalid="ignore"):  # a gain past the floats reads inf
+        gains = np.array([gain_total_closed(ControlParams(s["i0"], k, s["alpha"], s["beta"]), qs)
+                          for k in ks])
+    _check_no_nan(ks, gains)
+    out_rows = [(k, q, g) for k, row in zip(ks, gains.tolist()) for q, g in zip(qs.tolist(), row)]
     write_csv(["k", "q", "gain"], out_rows, s["out"])
+
+
+def _check_no_nan(ks, table: np.ndarray) -> None:
+    """UsageError naming the first k whose row of table, one row per k, holds a NaN."""
+    nan = np.isnan(table).any(axis=1)
+    if nan.any():
+        raise UsageError(f"the closed forms read NaN at k {ks[int(np.argmax(nan))]!r}")
 
 
 GAIN_VS_K = [
@@ -497,6 +510,7 @@ def _plot_gain_vs_k(s: dict) -> None:
     _need(s, "mu", "sigma")
     grid = _grid(s)
     gp = GbmParams(s["mu"], s["sigma"], s["dt"])
+    FixedTarget(s["target_fixed"])  # a NaN or infinite target would fill the bias column
     t, k = s["horizon"], np.array(grid.k_values)
     # the k axis, scored in one evaluation as grid_search scores a grid, under its errstate;
     # a bad i0, alpha or beta fails here
@@ -505,6 +519,7 @@ def _plot_gain_vs_k(s: dict) -> None:
         mean, var = expected_gain(points, gp, t), gain_variance(points, gp, t)
         bias = mean - s["target_fixed"]
         columns = [c.tolist() for c in (k, mean, var, bias, bias * bias + var)]
+    _check_no_nan(grid.k_values, np.transpose(columns))
     write_csv(["k", "expected_gain", "gain_variance", "bias", "mse"], zip(*columns), s["out"])
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategy import _BLOCK_PRICES, ControlParams, _shown, _usable_cpus, gain_total_closed
+from .strategy import _BLOCK_PRICES, ControlParams, _require, _usable_cpus, gain_total_closed
 
 __all__ = [
     "GbmParams",
@@ -60,16 +60,10 @@ class GbmParams:
     dt: float = 1.0 / TRADING_DAYS_PER_YEAR
 
     def __post_init__(self) -> None:
-        mu, sigma = self.mu, self.sigma
-        # math for a number, as ControlParams checks it; one numpy check for an array
-        if not (np.all(np.isfinite(mu)) if isinstance(mu, np.ndarray) else math.isfinite(mu)):
-            raise ValueError(f"mu must be finite, got {_shown(mu, np.isfinite(mu))}")
-        if not (np.all(np.isfinite(sigma) & (sigma >= 0.0)) if isinstance(sigma, np.ndarray)
-                else math.isfinite(sigma) and sigma >= 0.0):
-            raise ValueError(f"sigma must be non-negative and finite, "
-                             f"got {_shown(sigma, np.isfinite(sigma) & (sigma >= 0.0))}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        mu, sigma, dt = self.mu, self.sigma, self.dt
+        _require("mu", mu, abs(mu) < math.inf, "finite")
+        _require("sigma", sigma, (sigma >= 0.0) & (sigma < math.inf), "non-negative and finite")
+        _require("dt", dt, (dt > 0.0) & (dt < math.inf), "positive and finite")
 
 
 def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed) -> np.ndarray:
@@ -92,12 +86,9 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
     underflows to 0 raises ValueError, without a numpy warning, as does a
     sigma whose square overflows.
     """
-    if not (math.isfinite(p0) and p0 > 0.0):
-        raise ValueError(f"p0 must be positive and finite, got {p0!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _require("p0", p0, (p0 > 0.0) & (p0 < math.inf), "positive and finite")
+    _require("steps", steps, steps >= 1, ">= 1")
+    _require("n_paths", n_paths, n_paths >= 1, ">= 1")
     rng = np.random.default_rng(seed)
     scale = params.sigma * math.sqrt(params.dt)
     try:
@@ -163,8 +154,7 @@ def estimate_mle(prices, dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> GbmParams:
         raise ValueError("estimation needs a 1-d series of at least 3 prices")
     if not (np.all(np.isfinite(p)) and np.all(p > 0.0)):
         raise ValueError("prices must be finite and strictly positive")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    _require("dt", dt, (dt > 0.0) & (dt < math.inf), "positive and finite")
     r = np.diff(np.log(p))
     rbar = r.mean()
     sigma2 = np.mean((r - rbar) ** 2) / dt

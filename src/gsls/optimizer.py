@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbm import GbmParams, expected_gain, gain_variance
-from .strategy import ControlParams
+from .strategy import ControlParams, _require
 
 __all__ = [
     "DriftAdaptiveTarget",
@@ -51,8 +51,7 @@ class FixedTarget:
     gain: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gain):
-            raise ValueError(f"target gain must be finite, got {self.gain!r}")
+        _require("target gain", self.gain, abs(self.gain) < math.inf, "finite")  # NaN fails
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ class DriftAdaptiveTarget:
     margin: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.margin) and self.margin >= 0.0):
-            raise ValueError(f"margin must be non-negative and finite, got {self.margin!r}")
+        m = self.margin
+        _require("margin", m, (m >= 0.0) & (m < math.inf), "non-negative and finite")
 
 
 TargetPolicy = FixedTarget | DriftAdaptiveTarget
@@ -111,14 +110,11 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("k_values", "alpha_values", "beta_values"):
-            raw = getattr(self, name)
-            values = tuple(sorted({float(v) for v in raw}))
+            values = tuple(sorted({float(v) for v in getattr(self, name)}))
             if not values:
                 raise ValueError(f"{name} must not be empty")
-            if not all(math.isfinite(v) and v > 0.0 for v in values):
-                raise ValueError(f"{name} must contain positive finite values")
             object.__setattr__(self, name, values)
-        # every point is a controller, so beta*k must be positive and finite too
+        # every point is a controller, which checks each value and beta*k, naming the first failure
         ControlParams(1.0, *np.ix_(self.k_values, self.alpha_values, self.beta_values))
 
     @classmethod
@@ -130,9 +126,8 @@ class GridSpec:
         and beta must stay strictly positive for the controller to be
         defined.  sls_only pins alpha = beta = 1 and searches k alone.
         """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not (0.0 < lo <= hi):
+        _require("n", n, n >= 1, ">= 1")
+        if not (0.0 < lo <= hi < math.inf):
             raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
         values = tuple(float(v) for v in np.linspace(lo, hi, n))
         if sls_only:
@@ -180,8 +175,7 @@ def _objective_value(cp: ControlParams, gp: GbmParams, t: float, target: float,
 
 def _check_search_horizon(t: float) -> None:
     """grid_search's horizon rule, which the CLI also applies before it reads any input."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"horizon t must be positive and finite, got {t!r}")
+    _require("horizon t", t, (t > 0.0) & (t < math.inf), "positive and finite")
 
 
 def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
@@ -202,8 +196,8 @@ def grid_search(gp: GbmParams, t: float, policy: TargetPolicy, grid: GridSpec,
     return result
 
 
-# grid points times series scored in one evaluation; each temporary of a
-# chunk then holds at most this many floats
+# grid points times series scored in one evaluation: each temporary of a chunk holds at
+# most this many floats, or one series' whole grid where that is more (--grid-n 33)
 _CHUNK_CELLS = 1 << 15
 
 

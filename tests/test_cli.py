@@ -964,6 +964,8 @@ def test_plotdata_rejects_a_json_array_and_a_report_without_daily(tmp_path, caps
 
 @pytest.mark.parametrize("extra, message", [
     (["--q-min", "3", "--q-max", "1"], "need 0 < --q-min <= --q-max, got 3.0, 1.0"),
+    # refused before np.linspace warns on the infinite range
+    (["--q-max", "inf"], "need 0 < --q-min <= --q-max, got 0.2, inf"),
     (["--q-n", "0"], "--q-n must be >= 1"),
 ])
 def test_plotdata_gain_vs_q_rejects_a_bad_ratio_range(tmp_path, capsys, extra, message):
@@ -1127,3 +1129,78 @@ def test_a_sweep_whose_strategies_fail_raises_the_first_failing_strategys_error(
     runs = json.loads((tmp_path / "skip" / "report.json").read_text())["strategies"]
     assert {label: sorted(run["failures"]) for label, run in runs.items()} == {
         "sls_k0.5": [], "sls_k1": ["b_k1"], "sls_k2": ["a_k2", "b_k1"]}
+
+
+def test_plotdata_gain_vs_q_is_silent_where_a_power_overflows(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["plotdata", "--kind", "gain-vs-q", "--k", "1000", "--out", str(out)]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    # q**1000 leaves the float range at both ends of the default 0.2..5 ratios
+    gains = [row[2] for row in _read_csv(out)[1:]]
+    assert gains[0] == gains[-1] == "inf"
+
+
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_plotdata_gain_vs_k_checks_its_target_as_optimize_does(tmp_path, capsys, target):
+    out = tmp_path / "curve.csv"
+    assert main(["plotdata", "--kind", "gain-vs-k", "--mu", "0.1", "--sigma", "0.2",
+                 "--target-fixed", target, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: target gain must be finite, got {target}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "gain-vs-q", "--k", "1,1e-320,1e-321"],
+    ["--kind", "gain-vs-k", "--mu", "0.1", "--sigma", "0.2", "--sls-only",
+     "--grid-min", "1e-320", "--grid-max", "1e-320", "--grid-n", "1"],
+])
+def test_plotdata_names_the_first_k_whose_row_reads_nan(tmp_path, capsys, argv):
+    # i0/k overflows to inf at k 1e-320 and meets a factor of 0, so the row would read nan
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plotdata", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the closed forms read NaN at k 1e-320\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bins", ["1", "3"])
+def test_plotdata_density_on_gains_spanning_more_than_the_floats_is_a_data_error(tmp_path,
+                                                                                  capsys, bins):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"report": {"series": [{"final_gain": 1e308},
+                                                        {"final_gain": -1e308}]}}))
+    out = tmp_path / "density.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plotdata", "--kind", "density", "--in", str(report), "--bins", bins,
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {report}: final gains from -1e+308 to 1e+308 span past the floats\n")
+    assert not out.exists()
+
+
+def test_a_fixed_k_sweep_names_the_values_that_share_a_label(tmp_path, capsys):
+    # labels show k to 6 significant digits; one value given twice keeps its own message
+    universe = _simulate(tmp_path, count=2, steps=60)
+    out = tmp_path / "sweep"
+    for ks, message in [("0.1234567,0.1234568", "--fixed-k 0.1234567 and 0.1234568 share the "
+                                                "strategy label sls_k0.123457"),
+                        ("1,1.0", "duplicate strategy sls_k1 in --fixed-k")]:
+        assert main(["backtest", "--in", str(universe), "--out", str(out), *BACKTEST_WINDOWS,
+                     "--fixed-k", ks]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_an_infinite_grid_bound_exits_2_before_numpy_spaces_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["optimize", "--mu", "0.1", "--sigma", "0.2", "--objective", "mse",
+                     "--target-fixed", "0.15", "--grid-max", "inf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need 0 < lo <= hi, got lo=0.5, hi=inf\n"
+    assert not out.exists()

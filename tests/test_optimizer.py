@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ def test_grid_spec_rejects_a_point_whose_beta_times_k_leaves_the_floats():
         GridSpec((1.0, 1e200), (1.0,), (1e200,))
     # an SLS grid has beta = 1, so beta*k is k
     assert GridSpec.equally_spaced(1e-170, 1e-160, 2, sls_only=True).size == 2
+
+
+@pytest.mark.parametrize("axes, message", [
+    (((1.0, -1.0), (1.0,), (1.0,)), "k must be positive and finite, got array(shape=(2, 1, 1)), "
+                                    "first failing entry -1.0 at index (0, 0, 0)"),
+    (((1.0,), (2.0, math.inf), (1.0,)), "alpha must be positive and finite, got "
+                                        "array(shape=(1, 2, 1)), first failing entry inf at "
+                                        "index (0, 1, 0)"),
+])
+def test_grid_spec_names_its_first_failing_entry_and_its_index(axes, message):
+    with pytest.raises(ValueError) as caught:
+        GridSpec(*axes)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, math.inf), (math.inf, math.inf)])
+def test_grid_spec_equally_spaced_needs_a_finite_range_before_it_spaces_it(lo, hi):
+    # np.linspace warns on an infinite range, so the bound is checked first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            GridSpec.equally_spaced(lo, hi, 3)
+    assert str(caught.value) == f"need 0 < lo <= hi, got lo={lo}, hi={hi}"
 
 
 def test_grid_spec_equally_spaced_default():

@@ -63,6 +63,18 @@ def test_control_params_rejects_one_bad_entry_of_an_array_field(field, bad):
         ControlParams(**values)
 
 
+@pytest.mark.parametrize("q, shown", [
+    ([1.0, 0.0], "array(shape=(2,)), first failing entry 0.0 at index (1,)"),
+    (-2.0, "array(shape=()), first failing entry -2.0 at index ()"),
+    ([[1.0, math.nan]], "array(shape=(1, 2)), first failing entry nan at index (0, 1)"),
+])
+def test_a_bad_price_ratio_is_shown_in_its_error(q, shown):
+    for call in (gain_total_closed, feedback_gain_partials, positive_gain_condition):
+        with pytest.raises(ValueError) as caught:
+            call(ControlParams(1.0, 2.0), q)
+        assert str(caught.value) == f"price ratio q must be strictly positive, got {shown}"
+
+
 @pytest.mark.parametrize("k, beta, product", [(1e-300, 1e-300, 0.0), (1e200, 1e200, math.inf)])
 def test_control_params_rejects_a_beta_times_k_outside_the_floats(k, beta, product):
     # each factor is valid, but the short book's feedback gain beta*k under- or overflows

@@ -964,9 +964,9 @@ def test_plotdata_rejects_a_json_array_and_a_report_without_daily(tmp_path, caps
 
 @pytest.mark.parametrize("extra, message", [
     (["--q-min", "3", "--q-max", "1"], "need 0 < --q-min <= --q-max, got 3.0, 1.0"),
+    (["--q-n", "0"], "--q-n must be >= 1"),
     # refused before np.linspace warns on the infinite range
     (["--q-max", "inf"], "need 0 < --q-min <= --q-max, got 0.2, inf"),
-    (["--q-n", "0"], "--q-n must be >= 1"),
 ])
 def test_plotdata_gain_vs_q_rejects_a_bad_ratio_range(tmp_path, capsys, extra, message):
     out = tmp_path / "q.csv"

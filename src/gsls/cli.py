@@ -29,7 +29,7 @@ from .backtest import (DAILY_COLUMNS, DEFAULT_DT, DataError, SplitSpec, _cpus, _
 from .gbm import GbmParams, estimate_mle, expected_gain, gain_variance, simulate_paths
 from .optimizer import (DriftAdaptiveTarget, FixedTarget, GridSpec, NoFiniteObjectiveError,
                         Objective, _check_search_horizon, _search, grid_search, policy_label)
-from .strategy import ControlParams, gain_total_closed
+from .strategy import ControlParams, _require, gain_total_closed
 
 __all__ = ["main"]
 
@@ -434,8 +434,7 @@ def _floats(values) -> list[float] | None:
 
 def _plot_density(s: dict) -> None:
     _need(s, "in")
-    if s["bins"] < 1:
-        raise UsageError("--bins must be >= 1")
+    _require("--bins", s["bins"], s["bins"] >= 1, ">= 1")
     rows = _read_report(s).get("series")
     if not rows:
         raise DataError(f"{s['in']}: report contains no per-series gains")
@@ -446,10 +445,16 @@ def _plot_density(s: dict) -> None:
     if finals is None or not np.all(np.isfinite(finals)):
         raise DataError(f"{s['in']}: every series row needs a finite numeric final_gain")
     lo, hi = min(finals), max(finals)
+    span = f"{s['in']}: final gains from {lo!r} to {hi!r} span"
     if hi - lo == np.inf:  # numpy's bin edges would overflow
-        raise DataError(f"{s['in']}: final gains from {lo!r} to {hi!r} span past the floats")
-    counts, edges = np.histogram(finals, bins=s["bins"])
-    density = counts / (counts.sum() * np.diff(edges))
+        raise DataError(f"{span} past the floats")
+    try:  # numpy's ValueError: two bin edges round to one float
+        counts, edges = np.histogram(finals, bins=s["bins"])
+        mass = counts.sum() * np.diff(edges)
+        with np.errstate(over="raise"):  # a bin too narrow for its density
+            density = counts / mass
+    except (ValueError, FloatingPointError):
+        raise DataError(f"{span} too little for --bins {s['bins']}") from None
     out_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist())
     write_csv(["bin_left", "bin_right", "count", "density"], out_rows, s["out"])
 
@@ -481,8 +486,7 @@ def _plot_gain_vs_q(s: dict) -> None:
     q_min, q_max = s["q_min"], s["q_max"]
     if not (0.0 < q_min <= q_max < np.inf):
         raise UsageError(f"need 0 < --q-min <= --q-max, got {q_min}, {q_max}")
-    if s["q_n"] < 1:
-        raise UsageError("--q-n must be >= 1")
+    _require("--q-n", s["q_n"], s["q_n"] >= 1, ">= 1")
     qs, ks = np.linspace(q_min, q_max, s["q_n"]), _parse_floats(s["k"], "--k")
     with np.errstate(over="ignore", invalid="ignore"):  # a gain past the floats reads inf
         gains = np.array([gain_total_closed(ControlParams(s["i0"], k, s["alpha"], s["beta"]), qs)

@@ -152,8 +152,7 @@ def estimate_mle(prices, dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> GbmParams:
     p = np.asarray(prices, dtype=float)
     if p.ndim != 1 or p.shape[0] < 3:
         raise ValueError("estimation needs a 1-d series of at least 3 prices")
-    if not (np.all(np.isfinite(p)) and np.all(p > 0.0)):
-        raise ValueError("prices must be finite and strictly positive")
+    _require("prices", p, (p > 0.0) & (p < math.inf), "finite and strictly positive")
     _require("dt", dt, (dt > 0.0) & (dt < math.inf), "positive and finite")
     r = np.diff(np.log(p))
     rbar = r.mean()
@@ -163,9 +162,7 @@ def estimate_mle(prices, dt: float = 1.0 / TRADING_DAYS_PER_YEAR) -> GbmParams:
 
 
 def _check_horizon(t) -> None:
-    t = np.asarray(t)
-    if not np.all(np.isfinite(t) & (t >= 0.0)):
-        raise ValueError("horizon t must be >= 0 and finite")
+    _require("horizon t", t, (t >= 0.0) & (t < math.inf), ">= 0 and finite")
 
 
 def expected_gain(cp: ControlParams, gp: GbmParams, t):

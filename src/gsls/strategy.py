@@ -204,8 +204,7 @@ def beta1_roots(params: ControlParams) -> Beta1Roots:
     broadcast, and each field of the result is then an array whose entries
     have the bits of the call on that entry's numbers.
     """
-    if np.any(np.not_equal(params.beta, 1.0)):
-        raise ValueError(f"roots in closed form require beta == 1, got beta={params.beta}")
+    _require("beta", params.beta, params.beta == 1.0, "1 (roots in closed form require beta == 1)")
     # a power past the float range leaves the overflow flag that numpy's loop reports
     with np.errstate(over="ignore"):
         return Beta1Roots(*_entrywise(_beta1_roots, 4, float, params.alpha, params.k, params.i0))

@@ -834,9 +834,10 @@ def _overflowing_universe():
 @pytest.mark.parametrize("block_prices, workers", [(1 << 17, 1), (1, 3)])
 def test_an_overflowing_gain_is_a_data_error_that_names_the_series(monkeypatch, block_prices,
                                                                    workers):
-    # blocks of one price put each series in its own block, and three workers run them
+    # blocks of one price put each series in its own block; the executor runs them all on
+    # the calling thread, however many CPUs the affinity mask holds
     monkeypatch.setattr(strategy_module, "_BLOCK_PRICES", block_prices)
-    monkeypatch.setattr(strategy_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     args = (_overflowing_universe(), ControlParams(1.0, 2.0), SPLIT.test_start, SPLIT.test_end)
     message = "wild: trading failed: the gain overflows"
     with warnings.catch_warnings():

@@ -452,7 +452,8 @@ def test_plotdata_gain_vs_k_rejects_a_negative_or_non_finite_horizon(tmp_path, c
     out = tmp_path / "curve.csv"
     args = ["plotdata", "--kind", "gain-vs-k", "--mu", "0.1", "--sigma", "0.2", "--grid-n", "3"]
     assert main([*args, "--horizon", horizon, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: horizon t must be >= 0 and finite\n"
+    assert capsys.readouterr().err == (
+        f"error: horizon t must be >= 0 and finite, got {float(horizon)!r}\n")
     assert not out.exists()
     assert main([*args, "--horizon", "0", "--out", str(out)]) == 0
     assert [row[1:] for row in _read_csv(out)[1:]] == [["0.0"] * 4] * 3
@@ -964,7 +965,7 @@ def test_plotdata_rejects_a_json_array_and_a_report_without_daily(tmp_path, caps
 
 @pytest.mark.parametrize("extra, message", [
     (["--q-min", "3", "--q-max", "1"], "need 0 < --q-min <= --q-max, got 3.0, 1.0"),
-    (["--q-n", "0"], "--q-n must be >= 1"),
+    pytest.param(["--q-n", "0"], "--q-n must be >= 1, got 0", id="extra1---q-n must be >= 1"),
     # refused before np.linspace warns on the infinite range
     (["--q-max", "inf"], "need 0 < --q-min <= --q-max, got 0.2, inf"),
 ])
@@ -1180,6 +1181,34 @@ def test_plotdata_density_on_gains_spanning_more_than_the_floats_is_a_data_error
                      "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         f"data error: {report}: final gains from -1e+308 to 1e+308 span past the floats\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lo, hi, bins", [
+    (0.0, 5e-324, 1),  # one bin of the smallest float width: its density overflows
+    (1.0, 1.0000000000000002, 50),  # two of numpy's bin edges round to one float
+])
+def test_plotdata_density_on_gains_too_close_for_the_bins_is_a_data_error(tmp_path, capsys,
+                                                                           lo, hi, bins):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"report": {"series": [{"final_gain": lo},
+                                                        {"final_gain": hi}]}}))
+    out = tmp_path / "density.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["plotdata", "--kind", "density", "--in", str(report), "--bins", str(bins),
+                     "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"data error: {report}: final gains from {lo!r} to "
+                                       f"{hi!r} span too little for --bins {bins}\n")
+    assert not out.exists()
+
+
+def test_plotdata_density_names_a_bin_count_below_1_before_reading_the_report(tmp_path,
+                                                                               capsys):
+    out = tmp_path / "density.csv"
+    assert main(["plotdata", "--kind", "density", "--in", str(tmp_path / "nope.json"),
+                 "--bins", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --bins must be >= 1, got 0\n"
     assert not out.exists()
 
 

@@ -177,6 +177,13 @@ def test_estimate_mle_validation():
         estimate_mle([100.0, 101.0, 102.0], dt=0.0)
 
 
+def test_estimate_mle_names_the_first_bad_price():
+    with pytest.raises(ValueError) as err:
+        estimate_mle(np.r_[np.ones(300), -1.0])
+    assert str(err.value) == ("prices must be finite and strictly positive, got "
+                              "array(shape=(301,)), first failing entry -1.0 at index (300,)")
+
+
 def test_estimate_mle_sampling_distribution():
     # light coverage check; the full 200-seed version lives in the acceptance suite
     gp = GbmParams(0.1, 0.2, dt=1.0 / 252.0)

@@ -232,6 +232,14 @@ def test_beta1_roots_requires_beta_one_at_every_entry():
         beta1_roots(ControlParams(1.0, np.array([1.0, 2.0]), beta=np.array([1.0, 1.5])))
 
 
+def test_beta1_roots_names_the_first_beta_that_is_not_one_on_one_line():
+    with pytest.raises(ValueError) as err:
+        beta1_roots(ControlParams(1.0, 2.0, 1.0, np.linspace(1, 2, 50)))
+    assert str(err.value) == ("beta must be 1 (roots in closed form require beta == 1), got "
+                              "array(shape=(50,)), first failing entry 1.0204081632653061 "
+                              "at index (1,)")
+
+
 def test_beta1_roots_past_the_float_range_are_inf():
     # 100**1000 overflows a float, where float ** raises
     one = beta1_roots(ControlParams(1.0, 0.001, alpha=100.0))
@@ -455,8 +463,9 @@ def _same_bits(got, expected, what):
 
 
 def _force(monkeypatch, block_prices, workers):
+    """Blocks of block_prices prices, with `workers` CPUs in the affinity mask."""
     monkeypatch.setattr(strategy_module, "_BLOCK_PRICES", block_prices)
-    monkeypatch.setattr(strategy_module, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
 
 
 # (prices, params, block prices): 11 rows of 40 in blocks of 3 rows, one row and
@@ -493,7 +502,7 @@ def test_run_strategy_gives_one_and_three_workers_the_same_bits(monkeypatch):
     prices = _overflowing(9, 60)
     runs = []
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more workers than cores, switching as often as it can
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
         for workers in (1, 3):
             _force(monkeypatch, 130, workers)
@@ -518,6 +527,7 @@ def test_a_bad_price_in_the_last_block_raises_and_leaves_no_thread(monkeypatch, 
 
 
 def test_worker_threads_run_under_the_callers_error_state(monkeypatch):
+    # every block runs on the calling thread, so under the caller's error state
     prices = _overflowing(9, 60)
     _force(monkeypatch, 130, 3)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -543,7 +553,11 @@ def test_run_strategy_starts_no_thread(monkeypatch, block_prices, workers):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a thread pool")
 
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread")
+
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     _force(monkeypatch, block_prices, workers)
     prices = _walk((9, 30), 43)
     params = ControlParams(1.0, 2.0)
@@ -557,21 +571,21 @@ def test_importing_gsls_loads_no_thread_pool():
 
 
 def test_run_strategy_on_many_blocks_and_cpus_loads_no_thread_pool():
-    code = ("import sys\n"
+    code = ("import os, sys, threading\n"
             "import numpy as np\n"
             "from gsls import strategy\n"
-            "strategy._usable_cpus = lambda: 3\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
             "strategy._BLOCK_PRICES = 60\n"
             "prices = np.linspace(1.0, 2.0, 9 * 30).reshape(9, 30)\n"
             "trace = strategy.run_strategy(strategy.ControlParams(1.0, 2.0), prices)\n"
             "trace.inv_long\n"
-            "sys.exit('concurrent.futures' in sys.modules)\n")
+            "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(gsls.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_run_strategy_allocates_only_the_gain(monkeypatch):
-    # one worker and one block buffer: the investments stay in per-block scratch
+    # one CPU and one block buffer: the investments stay in per-block scratch
     _force(monkeypatch, 1 << 17, 1)
     paths = _walk((4000, 253), 44)
     params = ControlParams(1.0, 2.0, alpha=0.5, beta=1.5)

@@ -39,7 +39,7 @@ from .optimizer import (
     _search,
     grid_search,  # noqa: F401  perfbench/child.py wraps backtest.grid_search by name
 )
-from .strategy import ControlParams, _run, _usable_cpus
+from .strategy import ControlParams, _run
 from .strategy import run_strategy  # noqa: F401  perfbench/child.py wraps it by name
 
 __all__ = [
@@ -294,7 +294,12 @@ def _cpus() -> int:
     ``taskset -c 0`` they use one and never fork.  Their output never
     depends on it.
     """
-    return _usable_cpus() if hasattr(os, "fork") else 1
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 class _Mapped(Iterator):

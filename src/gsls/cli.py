@@ -450,9 +450,13 @@ def _plot_density(s: dict) -> None:
         raise DataError(f"{span} past the floats")
     try:  # numpy's ValueError: two bin edges round to one float
         counts, edges = np.histogram(finals, bins=s["bins"])
-        mass = counts.sum() * np.diff(edges)
+        width = np.diff(edges)
+        with np.errstate(over="ignore"):  # in a wide bin count * width may pass the floats
+            mass = counts.sum() * width
         with np.errstate(over="raise"):  # a bin too narrow for its density
             density = counts / mass
+        wide = mass == np.inf  # there counts / mass reads 0, so divide one factor at a time
+        density[wide] = counts[wide] / counts.sum() / width[wide]
     except (ValueError, FloatingPointError):
         raise DataError(f"{span} too little for --bins {s['bins']}") from None
     out_rows = zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist(), density.tolist())

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .strategy import _BLOCK_PRICES, ControlParams, _require, _usable_cpus, gain_total_closed
+from .strategy import _BLOCK_PRICES, ControlParams, _require, gain_total_closed
 
 __all__ = [
     "GbmParams",
@@ -77,14 +77,9 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
     are written straight into the block's rows of the returned array.
     Drawing row blocks one after another consumes the generator's stream in
     the order one draw of shape (n_paths, steps) would, so the blocks do not
-    change the bits.  With more than one block and more than one CPU in the
-    process's affinity mask, one helper thread draws the next block's
-    normals into a second buffer while this thread transforms the current
-    block; the one generator still draws the blocks in order, so the bits
-    do not depend on it.  One CPU or one block starts no thread.  Each
-    block is checked while it is in cache: a price that overflows to inf or
-    underflows to 0 raises ValueError, without a numpy warning, as does a
-    sigma whose square overflows.
+    change the bits.  Each block is checked while it is in cache: a price
+    that overflows to inf or underflows to 0 raises ValueError, without a
+    numpy warning, as does a sigma whose square overflows.
     """
     _require("p0", p0, (p0 > 0.0) & (p0 < math.inf), "positive and finite")
     _require("steps", steps, steps >= 1, ">= 1")
@@ -97,16 +92,11 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
         drift = -math.inf
     out = np.empty((n_paths, steps + 1))
     step = max(1, _BLOCK_PRICES // steps)
-    blocks = [out[lo:lo + step] for lo in range(0, n_paths, step)]
-    helper = len(blocks) > 1 and _usable_cpus() > 1
-    z = np.empty((1 + helper, len(blocks[0]), steps))
-
-    def draw(i: int) -> np.ndarray:
-        block = z[i % len(z), :len(blocks[i])]
+    z = np.empty((min(step, n_paths), steps))
+    for lo in range(0, n_paths, step):
+        rows = out[lo:lo + step]
+        block = z[:len(rows)]
         rng.standard_normal(out=block)
-        return block
-
-    def transform(rows: np.ndarray, block: np.ndarray) -> None:
         with np.errstate(all="ignore"):  # the check below reports what went out of range
             block *= scale
             block += drift
@@ -120,21 +110,6 @@ def simulate_paths(params: GbmParams, p0: float, steps: int, n_paths: int, seed)
             raise ValueError(f"simulated prices must be positive and finite, got "
                              f"{float(high if low > 0.0 else low)!r} at mu {params.mu!r}, "
                              f"sigma {params.sigma!r}")
-
-    if not helper:
-        for i, rows in enumerate(blocks):
-            transform(rows, draw(i))
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    # leaving the pool waits for the draw in flight, so an error leaves no thread
-    with ThreadPoolExecutor(1) as pool:
-        drawn = pool.submit(draw, 0)
-        for i, rows in enumerate(blocks):
-            block = drawn.result()
-            if i + 1 < len(blocks):
-                drawn = pool.submit(draw, i + 1)
-            transform(rows, block)
     return out
 
 

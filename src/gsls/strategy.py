@@ -24,7 +24,6 @@ final gain minus g(q) is
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -228,14 +227,6 @@ def positive_gain_condition(params: ControlParams, q) -> bool | np.ndarray:
 # 4000 paths of 253 prices took a median 69, 57, 55 and 58 ms in blocks of
 # 2**15, 2**16, 2**17 and 2**18 prices
 _BLOCK_PRICES = 1 << 17
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
 
 
 def _gain_long(inv_long: np.ndarray, i0, k, out=None) -> np.ndarray:

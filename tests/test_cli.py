@@ -1203,6 +1203,22 @@ def test_plotdata_density_on_gains_too_close_for_the_bins_is_a_data_error(tmp_pa
     assert not out.exists()
 
 
+def test_plotdata_density_on_a_span_whose_bin_mass_passes_the_floats(tmp_path, capsys):
+    # one bin 1.6e308 wide holding both gains has count * width = inf, but a finite
+    # density; three bins keep count * width finite and the density its old bits
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"report": {"series": [{"final_gain": -8e307},
+                                                        {"final_gain": 8e307}]}}))
+    out = tmp_path / "density.csv"
+    for bins, densities in [(1, ["6.25e-309"]), (3, ["9.375e-309", "0.0", "9.375e-309"])]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plotdata", "--kind", "density", "--in", str(report), "--bins",
+                         str(bins), "--out", str(out)]) == 0
+        assert [row[3] for row in _read_csv(out)[1:]] == densities
+    assert capsys.readouterr().err == ""
+
+
 def test_plotdata_density_names_a_bin_count_below_1_before_reading_the_report(tmp_path,
                                                                                capsys):
     out = tmp_path / "density.csv"

@@ -2,15 +2,20 @@
 
 import concurrent.futures
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gsls
 from gsls import gbm as gbm_module
 from gsls import (
     ControlParams,
@@ -60,27 +65,32 @@ def _one_shot_paths(params, p0, steps, n_paths, seed):
 def test_simulate_paths_in_blocks_equals_one_draw_bit_for_bit(monkeypatch, block_prices,
                                                                n_paths, steps):
     # blocks of 50 prices: rows of 20 go two to a block, rows over 50 one to a block;
-    # on more than one CPU a helper thread draws the next block while this one transforms
+    # the blocks run one after another on the calling thread, whatever the CPU count
     monkeypatch.setattr(gbm_module, "_BLOCK_PRICES", block_prices)
     params, seed = GbmParams(0.3, 0.45, dt=0.01), [4, n_paths, steps]
     expected = _one_shot_paths(params, 37.5, steps, n_paths, seed)
     for cpus in (1, 2, 3):
-        monkeypatch.setattr(gbm_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         got = simulate_paths(params, 37.5, steps, n_paths, seed)
         assert got.shape == expected.shape == (n_paths, steps + 1)
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64),
                                       err_msg=f"{cpus} CPUs")
 
 
-@pytest.mark.parametrize("block_prices, cpus", [(50, 1), (1 << 20, 2)])
+@pytest.mark.parametrize("block_prices, cpus", [(50, 1), (1 << 20, 2), (50, 3)])
 def test_simulate_paths_on_one_cpu_or_in_one_block_starts_no_thread(monkeypatch, block_prices,
                                                                      cpus):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a thread pool")
 
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a thread")
+
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(gbm_module, "_BLOCK_PRICES", block_prices)
-    monkeypatch.setattr(gbm_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     params = GbmParams(0.3, 0.45, dt=0.01)
     got = simulate_paths(params, 37.5, 20, 13, 8)
     expected = _one_shot_paths(params, 37.5, 20, 13, 8)
@@ -88,13 +98,24 @@ def test_simulate_paths_on_one_cpu_or_in_one_block_starts_no_thread(monkeypatch,
 
 
 def test_simulate_paths_with_a_draw_in_flight_raises_and_leaves_no_thread(monkeypatch):
-    # prices overflow in the first of 13 blocks, while the helper draws the second
+    # prices overflow in the first of 13 blocks, which raises before the second is drawn
     monkeypatch.setattr(gbm_module, "_BLOCK_PRICES", 40)
-    monkeypatch.setattr(gbm_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     threads = threading.active_count()
     with pytest.raises(ValueError, match="^simulated prices must be positive and finite"):
         simulate_paths(GbmParams(1e5, 0.2), 100.0, 20, 26, seed=0)
     assert threading.active_count() == threads
+
+
+def test_simulate_paths_on_many_blocks_and_cpus_loads_no_thread_pool():
+    code = ("import os, sys, threading\n"
+            "from gsls import gbm\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "gbm._BLOCK_PRICES = 40\n"
+            "gbm.simulate_paths(gbm.GbmParams(0.3, 0.45, dt=0.01), 37.5, 20, 26, 8)\n"
+            "sys.exit('concurrent.futures' in sys.modules or threading.active_count() != 1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(gsls.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_simulate_paths_seed_reproducibility():
